@@ -3,12 +3,12 @@
 The engine in :mod:`repro.sim.engine` is the substrate every experiment
 runs on, so its events/sec throughput bounds how much simulated load,
 how many seeds, and how many scenarios the reproduction can explore.
-This script measures the three patterns that dominate real experiment
+This script measures the patterns that dominate real experiment
 profiles:
 
 * **timer_churn** — thousands of interleaved processes each sleeping on
   fresh :class:`Timeout` objects (the NIC/OS pipeline-stage pattern);
-  exercises timer-wheel insert/drain throughput.
+  exercises timer-heap push/pop throughput.
 * **zero_delay_chain** — long chains of ``yield sim.timeout(0)`` (the
   wake-up-chain pattern used for same-instant hand-offs); exercises the
   same-timestamp fast path.
@@ -16,9 +16,6 @@ profiles:
   quantum/poll pattern in the kernel-bypass and SNAP models).
 * **cancel_churn** — retry loops that arm a guard timer and cancel it
   (the Tryagain pattern); only runs on engines with ``Timeout.cancel``.
-* **wheel_stress** — delays hopping across wheel levels (microseconds
-  to hundreds of thousands of ticks), forcing upper-level cascades and
-  bucket drains rather than the L0 steady state.
 * **frame_churn** — build + parse a byte-exact UDP frame per event (the
   data-plane allocation pattern); exercises the ``Frame`` slots/lazy-
   meta diet alongside the engine.
@@ -129,24 +126,6 @@ def _run_cancel_churn(n_procs: int, n_rounds: int) -> tuple[Simulator, int]:
     return sim, n_procs * n_rounds * 2
 
 
-def _run_wheel_stress(n_procs: int, n_timers: int) -> tuple[Simulator, int]:
-    """Delays hopping across wheel levels: cascade/drain stress."""
-    sim = Simulator()
-
-    def sleeper(delay):
-        for _ in range(n_timers):
-            yield sim.timeout(delay)
-            # A multiplicative hop keeps successive delays spread over
-            # ~five orders of magnitude, so inserts land on every wheel
-            # level and each long sleep cascades back down to L0.
-            delay = (delay * 5) % 199_999 + 1
-
-    for i in range(n_procs):
-        sim.process(sleeper(3 + i))
-    sim.run()
-    return sim, n_procs * n_timers
-
-
 def _run_frame_churn(n_procs: int, n_frames: int) -> tuple[Simulator, int]:
     """One byte-exact UDP frame built and parsed per event."""
     sim = Simulator()
@@ -190,11 +169,6 @@ BENCHMARKS = {
         "full": (1_000, 200),
         "quick": (100, 40),
         "requires_cancel": True,
-    },
-    "wheel_stress": {
-        "runner": _run_wheel_stress,
-        "full": (1_000, 100),
-        "quick": (100, 20),
     },
     "frame_churn": {
         "runner": _run_frame_churn,

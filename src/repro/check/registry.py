@@ -101,7 +101,7 @@ class CheckRegistry:
 
         The dump is taken exactly once — at the *first* violation — so
         it shows the system in the moments leading up to the failure,
-        not after a possibly long cascade.  The violation itself is
+        not after a possibly long pile-up.  The violation itself is
         noted into the ring first, so the dump records its own trigger.
         """
         flight = self.flight

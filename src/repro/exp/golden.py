@@ -8,10 +8,13 @@ a SHA-256 digest instead — ``tests/golden/hashes.json`` maps
 experiment name to digest, and ``tools/regen_golden.py --hashes``
 re-records it.
 
-The digest set deliberately stops at E23: E24 is the multi-tenant
-experiment, and the E1-E23 pins are exactly the contract that an
-*unconfigured* tenancy layer leaves every historical experiment
-byte-identical.
+The experiment digest set deliberately stops at E23: E24 is the
+multi-tenant experiment, and the E1-E23 pins are exactly the contract
+that an *unconfigured* tenancy layer leaves every historical experiment
+byte-identical.  E24 and E25 (whose full grids take minutes) are pinned
+instead by the digest of their ``smoke=True`` artifacts, stored in the
+same file as ``e24_smoke``/``e25_smoke`` and checked by
+``tests/experiments/test_e24.py`` and ``test_e25.py``.
 
 Both the pin test and the regen tool import :func:`golden_digest` from
 here so the canonicalisation can never drift between them.  The only

@@ -199,7 +199,7 @@ class LauberhornProtocolSpec(Spec):
 
         def conservation(state):
             """No request is lost or duplicated."""
-            (_p, _pa, _l0, _l1, _parked, inflight,
+            (_p, _pa, _line0, _line1, _parked, inflight,
              arrivals, queue, delivered, responded, _ipi) = state
             owed = 1 if inflight is not None else 0
             return (
@@ -210,11 +210,11 @@ class LauberhornProtocolSpec(Spec):
         def waiting_is_parked(state):
             """A waiting CPU's fill is parked at the NIC (no answer was
             lost in transit)."""
-            (phase, parity, _l0, _l1, parked, *_rest) = state
+            (phase, parity, _line0, _line1, parked, *_rest) = state
             return phase != "waiting" or parked == parity
 
         def bounded_counters(state):
-            (_p, _pa, _l0, _l1, _parked, _inflight,
+            (_p, _pa, _line0, _line1, _parked, _inflight,
              arrivals, queue, delivered, responded, _ipi) = state
             n = self.config.total_packets
             return (

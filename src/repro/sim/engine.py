@@ -21,33 +21,22 @@ experiment):
 
 * All event classes use ``__slots__`` — no per-event ``__dict__``.
 * Events scheduled *at the current instant* go to plain FIFOs (one for
-  URGENT resumptions, one for NORMAL same-time events) instead of the
-  timer structure, so zero-delay wake-up chains never pay any queue
-  discipline.  Only future-dated events (real timers) touch the wheel.
-* Future-dated events live in a hierarchical **timer wheel**: four
-  levels of 256 buckets (1 ns, 256 ns, 64 us and 16.7 ms per slot),
-  plus an overflow list for timers more than ~4.3 s ahead.  Insertion
-  is an O(1) list append; expiry drains one bucket at a time into a
-  sorted *due* list, so the per-event pop is an index increment instead
-  of an O(log n) heap sift.  Occupied buckets are tracked in per-level
-  bitmaps so advancing to the next timer is a find-lowest-set-bit, not
-  a slot scan.
+  URGENT resumptions, one for NORMAL same-time events), so zero-delay
+  wake-up chains never pay a heap sift.  Only future-dated events (real
+  timers) touch the heap.
+* Future-dated events live in one ``heapq`` binary heap of
+  ``(when, seq, event)`` tuples.
 * Cancelled timeouts are removed lazily: they stay queued as
-  tombstones, are skipped on pop, and the wheel is swept when
+  tombstones, are skipped on pop, and the heap is compacted when
   tombstones dominate — so retry/Tryagain-style workloads that arm and
-  abandon guard timers don't grow the wheel without bound.
+  abandon guard timers don't grow the heap without bound.
 
 Dispatch order is the engine's contract: events run in strict
-``(time, priority, sequence)`` order, and the wheel preserves it
-exactly — buckets are visited in time order, each bucket is sorted by
-``(time, sequence)`` before dispatch, and same-instant NORMAL events
-are merged with due timers by sequence number.  The differential
-property test in ``tests/properties/test_wheel_differential.py`` races
-this engine against a reference heap implementation to prove the order
-never diverges.
+``(time, priority, sequence)`` order, where the sequence number is a
+global arming counter, so time ties break in arming order.
 
-:mod:`repro.sim.profile` reports the event counters, wheel occupancy
-and cascade statistics the simulator maintains.
+:mod:`repro.sim.profile` reports the event counters and heap occupancy
+marks the simulator maintains.
 
 Time is measured in **nanoseconds** (floats).  Helper constants for
 other units live in :mod:`repro.sim.clock`.
@@ -55,8 +44,8 @@ other units live in :mod:`repro.sim.clock`.
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import deque
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -93,14 +82,6 @@ class Interrupt(Exception):
 # zero-delay wake-ups complete before the clock is allowed to advance.
 URGENT = 0
 NORMAL = 1
-
-#: Per-level slot count of the timer wheel (2**_WHEEL_BITS buckets).
-_WHEEL_BITS = 8
-_WHEEL_SLOTS = 1 << _WHEEL_BITS
-_WHEEL_MASK = _WHEEL_SLOTS - 1
-#: Single-bit masks, precomputed so bucket bookkeeping never pays a
-#: shift allocation on the insert path.
-_BIT = tuple(1 << i for i in range(_WHEEL_SLOTS))
 
 
 class Event:
@@ -221,22 +202,13 @@ class Timeout(Event):
         # assigns them).  The value is staged in _value but _ok stays
         # None: the simulator marks the event triggered when the delay
         # elapses.  Simulator.timeout is the hot-path twin of this
-        # constructor with the wheel insert inlined as well; keep the
-        # two in sync.
+        # constructor; keep the two in sync.
         self.sim = sim
         self.callbacks = []
         self._value = value
         self._ok = None
         self.delay = delay
-        now = sim.now
-        when = now + delay
-        seq = sim._seq
-        sim._seq = seq + 1
-        if when == now:
-            sim._stat_norm_fifo += 1
-            sim._normal.append((seq, self))
-        else:
-            sim._insert_future(when, seq, self)
+        sim._enqueue(sim.now + delay, NORMAL, self)
 
     def cancel(self) -> bool:
         """Cancel a pending timeout so it never fires.
@@ -252,17 +224,12 @@ class Timeout(Event):
             return False
         self.callbacks = None
         sim = self.sim
-        n_cancelled = sim._n_cancelled + 1
-        sim._n_cancelled = n_cancelled
+        sim._n_cancelled += 1
         sim._stat_cancels += 1
-        # Tombstone hygiene: once cancelled timers dominate the wheel,
-        # sweep every occupied bucket in one O(n) pass (amortised
-        # against the >= n/2 cancellations that triggered it).  The
-        # pending count is derived (see pending_timers) so the insert
-        # path never maintains it.
-        if n_cancelled > 64 and n_cancelled + n_cancelled > (
-                sim._seq - sim._stat_norm_fifo - sim._departed
-                + len(sim._due) - sim._due_i):
+        # Tombstone hygiene: once cancelled timers dominate the heap,
+        # rebuild it in one O(n) pass (amortised against the >= n/2
+        # cancellations that triggered it).
+        if sim._n_cancelled > 64 and sim._n_cancelled * 2 > len(sim._heap):
             sim._compact()
         return True
 
@@ -469,111 +436,63 @@ class AllOf(_Condition):
 
 
 class Simulator:
-    """The event loop: a virtual clock, two FIFOs and a timer wheel.
+    """The event loop: a virtual clock, two FIFOs and a timer heap.
 
     Scheduling invariant: events run in ``(time, priority, sequence)``
     order.  Events scheduled at the *current* instant are kept out of
-    the wheel — URGENT ones (process resumptions, which every trigger
-    in the tree schedules at ``now``) in a plain FIFO whose append
-    order *is* sequence order, NORMAL same-instant ones in a second
-    FIFO that is merged with same-timestamp due timers by sequence
-    number.  The wheel holds only future-dated events, i.e. real
-    timers.
-
-    Wheel layout: ``_l0``…``_l3`` are four arrays of 256 buckets.  A
-    timer lands in the finest level whose aligned window contains both
-    its tick (``int(when)``) and the wheel cursor ``_cur``; timers more
-    than ``256**4`` ticks ahead wait in ``_overflow``.  ``_bm0``…``_bm3``
-    are occupancy bitmaps (bit *i* set ⇔ bucket *i* non-empty).
-    Advancing time means draining the lowest set bucket of the lowest
-    occupied level — cascading it down a level if it is not yet at
-    level 0 — then sorting that bucket by ``(time, seq)`` into ``_due``,
-    which ``run`` consumes by index.  Timers created at-or-behind the
-    cursor (sub-tick delays, or after a bounded run parked the clock
-    below an already-drained bucket) are merge-inserted into the live
-    ``_due`` list so dispatch order never depends on cursor position.
+    the heap — URGENT ones (process resumptions, which every trigger in
+    the tree schedules at ``now``) in a plain FIFO whose append order
+    *is* sequence order, NORMAL same-instant ones in a second FIFO that
+    is merged with same-timestamp heap entries by sequence number.  The
+    heap holds only future-dated events, i.e. real timers.
     """
 
     __slots__ = (
-        "now", "_urgent", "_normal", "_seq", "_n_cancelled",
-        "_cur", "_due", "_due_i", "_l0", "_l1", "_l2", "_l3",
-        "_bm0", "_bm1", "_bm2", "_bm3", "_overflow", "_departed", "_gen",
-        "_stat_dispatched", "_stat_wheel_max", "_stat_norm_fifo",
-        "_stat_urgent_fifo", "_stat_cancels", "_stat_sweeps",
-        "_stat_drains", "_stat_cascades", "__weakref__",
+        "now", "_heap", "_urgent", "_normal", "_seq", "_n_cancelled",
+        "_stat_dispatched", "_stat_heap_max", "_stat_norm_fifo",
+        "_stat_urgent_fifo", "_stat_cancels", "_stat_compactions",
+        "__weakref__",
     )
 
     def __init__(self):
         self.now: float = 0.0
+        self._heap: list[tuple[float, int, Event]] = []
         self._urgent: deque[Event] = deque()
         self._normal: deque[tuple[int, Event]] = deque()
-        #: next sequence number; consumed by every wheel push and every
+        #: next sequence number; consumed by every heap push and every
         #: NORMAL same-instant append (urgent FIFO order needs none).
         self._seq = 0
         #: live tombstones (cancelled timeouts still queued)
         self._n_cancelled = 0
-        # -- timer wheel --------------------------------------------------
-        #: wheel cursor: every tick <= _cur has been drained already
-        self._cur = 0
-        #: the drained-and-sorted batch run() is currently consuming
-        self._due: list[tuple[float, int, Event]] = []
-        self._due_i = 0
-        self._l0: list[list[tuple[float, int, Event]]] = [
-            [] for _ in range(_WHEEL_SLOTS)
-        ]
-        # Coarser levels are allocated on first use: most simulators
-        # never schedule further than 256 ticks ahead at once.
-        self._l1: Optional[list[list[tuple[float, int, Event]]]] = None
-        self._l2: Optional[list[list[tuple[float, int, Event]]]] = None
-        self._l3: Optional[list[list[tuple[float, int, Event]]]] = None
-        self._bm0 = 0
-        self._bm1 = 0
-        self._bm2 = 0
-        self._bm3 = 0
-        self._overflow: list[tuple[float, int, Event]] = []
-        #: entries that have *left* bucket/overflow residency (drained
-        #: into _due, merge-inserted straight into _due, or swept by
-        #: _compact).  Resident population is derived as
-        #: wheel pushes (_seq - _stat_norm_fifo) minus _departed, so
-        #: the per-insert hot path maintains no occupancy counter.
-        self._departed = 0
-        #: bumped by every out-of-band mutation of the due batch
-        #: (refill, sweep, merge-insert, peek/_pop purge) so run()'s
-        #: same-instant batch loop can detect perturbation with one
-        #: integer compare.
-        self._gen = 0
         # -- profiling counters (see repro.sim.profile) ----------------
-        # Wheel pushes are not counted on the push path: they are
-        # derived as _seq - _stat_norm_fifo, since those are the only
-        # two consumers of sequence numbers.
+        # Heap pushes are not counted on the push path: they are derived
+        # as _seq - _stat_norm_fifo, since those are the only two
+        # consumers of sequence numbers.
         self._stat_dispatched = 0
-        self._stat_wheel_max = 0
+        self._stat_heap_max = 0
         self._stat_norm_fifo = 0
         self._stat_urgent_fifo = 0
         self._stat_cancels = 0
-        self._stat_sweeps = 0
-        self._stat_drains = 0
-        self._stat_cascades = 0
+        self._stat_compactions = 0
 
     @property
     def pending_timers(self) -> int:
-        """Future-dated events still queued (tombstones included).
+        """Future-dated events still queued, tombstones included.
 
-        The live-probe equivalent of the old heap's ``len()``: wheel
-        residents (pushes minus departures) plus the unconsumed tail of
-        the due batch.
+        ``repro.hw.machine`` probes this into telemetry that the golden
+        digests hash, so it counts cancelled timers until a compaction
+        or a pop discards them — which is why cancellation stays lazy.
         """
-        return (self._seq - self._stat_norm_fifo - self._departed
-                + len(self._due) - self._due_i)
+        return len(self._heap)
 
     # -- scheduling ---------------------------------------------------
 
     def _enqueue(self, when: float, priority: int, event: Event) -> None:
         if when == self.now:
-            # Same-instant fast path: no wheel traffic.  Everything in
+            # Same-instant fast path: no heap traffic.  Everything in
             # the tree schedules URGENT events at the current instant,
             # so the urgent FIFO needs no sequence numbers; the NORMAL
-            # FIFO keeps them to merge with same-timestamp due timers.
+            # FIFO keeps them to merge with same-timestamp heap entries.
             if priority == URGENT:
                 self._stat_urgent_fifo += 1
                 self._urgent.append(event)
@@ -584,244 +503,28 @@ class Simulator:
                 self._normal.append((seq, event))
             return
         # Future-dated events are always NORMAL (succeed/fail stamp the
-        # current instant; only timers schedule ahead), so wheel entries
+        # current instant; only timers schedule ahead), so heap entries
         # carry no priority field: (when, seq, event).
         seq = self._seq
         self._seq = seq + 1
-        self._insert_future(when, seq, event)
-
-    def _insert_future(self, when: float, seq: int, event: Event) -> None:
-        """File ``(when, seq, event)`` into the wheel.
-
-        The level tests compare aligned pages rather than deltas: a
-        timer belongs to the finest level whose window contains both
-        its tick and the cursor.  Ticks at or behind the cursor (their
-        bucket is already drained) merge straight into the sorted due
-        list, which keeps dispatch order exact even when a bounded run
-        left the cursor ahead of the clock.
-        """
-        cur = self._cur
-        if when < cur + 1.0:  # tick <= cur: bucket already drained
-            insort(self._due, (when, seq, event), self._due_i)
-            self._departed += 1
-            return
-        tick = int(when)
-        x = tick ^ cur
-        if x < 256:
-            slot = tick & 255
-            self._l0[slot].append((when, seq, event))
-            self._bm0 |= _BIT[slot]
-        elif x < 65536:
-            l1 = self._l1
-            if l1 is None:
-                l1 = self._l1 = [[] for _ in range(_WHEEL_SLOTS)]
-            slot = (tick >> 8) & 255
-            l1[slot].append((when, seq, event))
-            self._bm1 |= _BIT[slot]
-        elif x < 16777216:
-            l2 = self._l2
-            if l2 is None:
-                l2 = self._l2 = [[] for _ in range(_WHEEL_SLOTS)]
-            slot = (tick >> 16) & 255
-            l2[slot].append((when, seq, event))
-            self._bm2 |= _BIT[slot]
-        elif x < 4294967296:
-            l3 = self._l3
-            if l3 is None:
-                l3 = self._l3 = [[] for _ in range(_WHEEL_SLOTS)]
-            slot = (tick >> 24) & 255
-            l3[slot].append((when, seq, event))
-            self._bm3 |= _BIT[slot]
-        else:
-            self._overflow.append((when, seq, event))
-
-    def _refill(self) -> bool:
-        """Drain the next occupied bucket (sorted) into the due list.
-
-        Cascades coarser-level buckets down as the cursor crosses their
-        windows; pulls the overflow list back into the wheel when every
-        level is empty.  Returns False when no timers remain anywhere.
-        Must only be called once the current due batch is consumed.
-        """
-        while True:
-            bm = self._bm0
-            if bm:
-                lsb = bm & -bm
-                bm ^= lsb
-                slot = lsb.bit_length() - 1
-                l0 = self._l0
-                bucket = l0[slot]
-                # Recycle the exhausted batch as the slot's fresh
-                # bucket: steady-state draining allocates no lists.
-                stale = self._due
-                del stale[:]
-                l0[slot] = stale
-                if len(bucket) > 1:
-                    bucket.sort()
-                # Thin-bucket amortisation: a page of near-empty slots
-                # (sparse timers) would otherwise pay the whole drain
-                # dance per event, so keep pulling consecutive slots of
-                # the same page until the batch is worth dispatching.
-                # Slot order is tick order within a page, so the
-                # concatenation of per-slot sorted runs stays sorted
-                # and dispatch order is untouched.
-                while bm and len(bucket) < 64:
-                    lsb = bm & -bm
-                    bm ^= lsb
-                    slot = lsb.bit_length() - 1
-                    more = l0[slot]
-                    if len(more) > 1:
-                        more.sort()
-                    bucket += more
-                    del more[:]  # the emptied list stays as the bucket
-                self._bm0 = bm
-                self._cur = (self._cur & -256) | slot  # -256 == ~_WHEEL_MASK
-                departed = self._departed
-                count = self._seq - self._stat_norm_fifo - departed
-                # Occupancy high-water, sampled at drain granularity
-                # (the due batch is empty here, so this is the full
-                # resident population).
-                if count > self._stat_wheel_max:
-                    self._stat_wheel_max = count
-                self._departed = departed + len(bucket)
-                self._due = bucket
-                self._due_i = 0
-                self._gen += 1
-                self._stat_drains += 1
-                return True
-            bm = self._bm1
-            if bm:
-                lsb = bm & -bm
-                self._bm1 = bm ^ lsb
-                slot = lsb.bit_length() - 1
-                l1 = self._l1
-                bucket = l1[slot]
-                l1[slot] = []
-                self._cur = (self._cur & -65536) | (slot << 8)
-                l0 = self._l0
-                bm0 = self._bm0
-                for entry in bucket:
-                    s = int(entry[0]) & 255
-                    l0[s].append(entry)
-                    bm0 |= _BIT[s]
-                self._bm0 = bm0
-                self._stat_cascades += len(bucket)
-                continue
-            bm = self._bm2
-            if bm:
-                lsb = bm & -bm
-                self._bm2 = bm ^ lsb
-                slot = lsb.bit_length() - 1
-                l2 = self._l2
-                bucket = l2[slot]
-                l2[slot] = []
-                self._cur = (self._cur & -16777216) | (slot << 16)
-                l1 = self._l1
-                if l1 is None:
-                    l1 = self._l1 = [[] for _ in range(_WHEEL_SLOTS)]
-                bm1 = self._bm1
-                for entry in bucket:
-                    s = (int(entry[0]) >> 8) & 255
-                    l1[s].append(entry)
-                    bm1 |= _BIT[s]
-                self._bm1 = bm1
-                self._stat_cascades += len(bucket)
-                continue
-            bm = self._bm3
-            if bm:
-                lsb = bm & -bm
-                self._bm3 = bm ^ lsb
-                slot = lsb.bit_length() - 1
-                l3 = self._l3
-                bucket = l3[slot]
-                l3[slot] = []
-                self._cur = (self._cur & -4294967296) | (slot << 24)
-                l2 = self._l2
-                if l2 is None:
-                    l2 = self._l2 = [[] for _ in range(_WHEEL_SLOTS)]
-                bm2 = self._bm2
-                for entry in bucket:
-                    s = (int(entry[0]) >> 16) & 255
-                    l2[s].append(entry)
-                    bm2 |= _BIT[s]
-                self._bm2 = bm2
-                self._stat_cascades += len(bucket)
-                continue
-            overflow = self._overflow
-            if overflow:
-                # Jump the cursor to the earliest overflow timer and
-                # re-file the batch; entries still beyond the top
-                # level's horizon land back in (a new) overflow.  The
-                # jump must reach ``tick`` itself, not ``tick - 1``:
-                # when the earliest tick sits exactly on a 2^32-page
-                # boundary, ``tick - 1`` is in the previous page, the
-                # XOR level test never passes, and the entry would
-                # bounce through overflow forever.
-                tick = int(min(overflow)[0])
-                if tick > self._cur:
-                    self._cur = tick
-                self._overflow = []
-                # Re-filed entries stay resident (no _departed change);
-                # any that merge into _due are departed by the insort
-                # branch of _insert_future itself.
-                insert = self._insert_future
-                for entry in overflow:
-                    insert(entry[0], entry[1], entry[2])
-                self._stat_cascades += len(overflow)
-                # Entries at the cursor tick merged straight into the
-                # due list; that already *is* the next batch (a lone
-                # boundary timer fills no bucket, so falling through
-                # would report an empty wheel and drop it).
-                if self._due_i < len(self._due):
-                    return True
-                continue
-            return False
+        heap = self._heap
+        heappush(heap, (when, seq, event))
+        if len(heap) > self._stat_heap_max:
+            self._stat_heap_max = len(heap)
 
     def _compact(self) -> None:
-        """Sweep tombstones (cancelled timeouts) out of the wheel.
+        """Rebuild the heap without tombstones (cancelled timeouts).
 
-        The equivalent of the old heap rebuild: every occupied bucket,
-        the overflow list and the unconsumed due tail are filtered in
-        one pass.  In place where it matters: ``run`` reloads its due
-        cursor after every callback, so a cancellation inside an event
-        callback may sweep mid-run.
+        In place: ``run`` holds a local reference to the heap list, and
+        a cancellation inside an event callback may compact mid-run.
         """
-        removed = 0
-        for bm_name, level in (("_bm0", self._l0), ("_bm1", self._l1),
-                               ("_bm2", self._l2), ("_bm3", self._l3)):
-            bm = getattr(self, bm_name)
-            if not bm or level is None:
-                continue
-            new_bm = 0
-            while bm:
-                lsb = bm & -bm
-                bm ^= lsb
-                slot = lsb.bit_length() - 1
-                bucket = level[slot]
-                live = [e for e in bucket if e[2].callbacks is not None]
-                removed += len(bucket) - len(live)
-                level[slot] = live
-                if live:
-                    new_bm |= lsb
-            setattr(self, bm_name, new_bm)
-        overflow = self._overflow
-        if overflow:
-            live = [e for e in overflow if e[2].callbacks is not None]
-            removed += len(overflow) - len(live)
-            self._overflow = live
-        self._departed += removed
-        due = self._due
-        di = self._due_i
-        if di < len(due):
-            due[:] = [e for e in due[di:] if e[2].callbacks is not None]
-        else:
-            del due[:]
-        self._due_i = 0
-        self._gen += 1
+        heap = self._heap
+        heap[:] = [entry for entry in heap if entry[2].callbacks is not None]
+        heapify(heap)
         self._n_cancelled = sum(
             1 for _, event in self._normal if event.callbacks is None
         )
-        self._stat_sweeps += 1
+        self._stat_compactions += 1
 
     def event(self) -> Event:
         """Create a fresh pending event."""
@@ -831,10 +534,9 @@ class Simulator:
         """Create an event that fires after ``delay`` ns.
 
         Equivalent to ``Timeout(sim, delay, value)`` but with the
-        constructor *and* the level-0 wheel insert inlined —
-        ``sim.timeout`` is how nearly every timer in the tree is
-        created, and skipping the call frames is measurable.  Keep in
-        sync with :meth:`Timeout.__init__` / :meth:`_insert_future`.
+        constructor inlined — ``sim.timeout`` is how nearly every timer
+        in the tree is created, and skipping the ``__init__`` frame is
+        measurable.  Keep in sync with :meth:`Timeout.__init__`.
         """
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
@@ -851,49 +553,11 @@ class Simulator:
         if when == now:
             self._stat_norm_fifo += 1
             self._normal.append((seq, event))
-            return event
-        # The whole level ladder is inlined (not just level 0): guard
-        # timers routinely land two levels up, and a function call per
-        # arm/cancel cycle is measurable in cancel-heavy workloads.
-        # The behind-cursor test is a pure float compare (tick <= cur
-        # iff when < cur + 1), so the merge-insert path never pays the
-        # int conversion; once it fails, tick > cur is implied and
-        # level selection is the xor distance alone: tick ^ cur <
-        # 256**k iff tick and cur share the level-k aligned page.
-        cur = self._cur
-        if when < cur + 1.0:
-            insort(self._due, (when, seq, event), self._due_i)
-            self._departed += 1
-            return event
-        tick = int(when)
-        x = tick ^ cur
-        if x < 256:
-            slot = tick & 255
-            self._l0[slot].append((when, seq, event))
-            self._bm0 |= _BIT[slot]
-        elif x < 65536:
-            l1 = self._l1
-            if l1 is None:
-                l1 = self._l1 = [[] for _ in range(_WHEEL_SLOTS)]
-            slot = (tick >> 8) & 255
-            l1[slot].append((when, seq, event))
-            self._bm1 |= _BIT[slot]
-        elif x < 16777216:
-            l2 = self._l2
-            if l2 is None:
-                l2 = self._l2 = [[] for _ in range(_WHEEL_SLOTS)]
-            slot = (tick >> 16) & 255
-            l2[slot].append((when, seq, event))
-            self._bm2 |= _BIT[slot]
-        elif x < 4294967296:
-            l3 = self._l3
-            if l3 is None:
-                l3 = self._l3 = [[] for _ in range(_WHEEL_SLOTS)]
-            slot = (tick >> 24) & 255
-            l3[slot].append((when, seq, event))
-            self._bm3 |= _BIT[slot]
         else:
-            self._overflow.append((when, seq, event))
+            heap = self._heap
+            heappush(heap, (when, seq, event))
+            if len(heap) > self._stat_heap_max:
+                self._stat_heap_max = len(heap)
         return event
 
     def process(self, generator: Generator, name: str = "") -> Process:
@@ -929,86 +593,55 @@ class Simulator:
 
     # -- execution ----------------------------------------------------
 
-    def _pop(self, limit: float = float("inf")) -> Optional[Event]:
+    def _pop(self) -> Optional[Event]:
         """Pop the next live event in (time, priority, seq) order.
 
-        Advances the clock when the winner comes off the wheel; due
-        timers later than ``limit`` are left queued.  Skips cancelled
-        timeouts.  Returns None when nothing live is due.
+        Advances the clock when the winner comes off the heap.  Skips
+        cancelled timeouts.  Returns None when nothing is queued.
         """
         urgent = self._urgent
+        heap = self._heap
         if urgent:
             # URGENT events are only ever scheduled at the current
             # instant (succeed/fail stamp ``sim.now``; timeouts are
-            # NORMAL), so the urgent FIFO always outranks the wheel and
+            # NORMAL), so the urgent FIFO always outranks the heap and
             # never holds cancelled timers.
             return urgent.popleft()
         normal = self._normal
         now = self.now
         while normal:
-            due = self._due
-            di = self._due_i
-            if di < len(due) and due[di][0] == now and due[di][1] < normal[0][0]:
-                # Same-instant due timer scheduled before the FIFO head.
-                event = due[di][2]
-                self._due_i = di + 1
-                self._gen += 1
+            if heap and heap[0][0] == now and heap[0][1] < normal[0][0]:
+                # Same-instant heap entry scheduled before the FIFO head.
+                event = heappop(heap)[2]
             else:
                 event = normal.popleft()[1]
             if event.callbacks is not None:
                 return event
             self._n_cancelled -= 1
-        while True:
-            due = self._due
-            di = self._due_i
-            if di >= len(due):
-                if not self._refill():
-                    return None
-                continue
-            entry = due[di]
-            event = entry[2]
-            if event.callbacks is None:  # cancelled timer: purge
-                self._due_i = di + 1
-                self._gen += 1
+        while heap:
+            when, _seq, event = heappop(heap)
+            if event.callbacks is None:
                 self._n_cancelled -= 1
                 continue
-            when = entry[0]
-            if when > limit:
-                return None
             if when < now:
                 raise SimulationError("event scheduled in the past")
-            self._due_i = di + 1
-            self._gen += 1
             self.now = when
             return event
+        return None
 
     def peek(self) -> float:
         """Time of the next live scheduled event, or ``inf`` if none."""
-        for event in self._urgent:
-            if event.callbacks is not None:
+        heap = self._heap
+        for fifo_event in self._urgent:
+            if fifo_event.callbacks is not None:
                 return self.now
-        for _seq, event in self._normal:
-            if event.callbacks is not None:
+        for _seq, fifo_event in self._normal:
+            if fifo_event.callbacks is not None:
                 return self.now
-        while True:
-            due = self._due
-            di0 = di = self._due_i
-            n = len(due)
-            while di < n:
-                entry = due[di]
-                if entry[2].callbacks is None:
-                    di += 1
-                    self._n_cancelled -= 1
-                    continue
-                if di != di0:
-                    self._due_i = di
-                    self._gen += 1
-                return entry[0]
-            if di != di0:
-                self._due_i = di
-                self._gen += 1
-            if not self._refill():
-                return float("inf")
+        while heap and heap[0][2].callbacks is None:
+            heappop(heap)
+            self._n_cancelled -= 1
+        return heap[0][0] if heap else float("inf")
 
     def _dispatch(self, event: Event) -> None:
         """Run one event's callbacks (the inner loop of the engine)."""
@@ -1035,200 +668,93 @@ class Simulator:
 
         ``until`` may be ``None`` (run to exhaustion), a timestamp, or
         an :class:`Event` (run until the event fires; returns its
-        value).
+        value).  Awaiting a timeout that is, or gets, cancelled raises
+        :class:`SimulationError`.
         """
         stop_event: Optional[Event] = None
         horizon = float("inf")
         bounded = False
         if isinstance(until, Event):
             stop_event = until
-            if stop_event.callbacks is None:
-                if stop_event._ok:
-                    return stop_event._value
-                raise stop_event._exception
         elif until is not None:
             horizon = float(until)
             if horizon < self.now:
-                raise ValueError(f"until={horizon} is in the past (now={self.now})")
+                raise ValueError(
+                    f"until={horizon} is in the past (now={self.now})")
             bounded = True
         # The event loop is _pop + _dispatch inlined into one frame:
         # this function IS the hot loop of every experiment, and the
-        # two calls per event it saves are measurable.  The due cursor
-        # lives on the instance and is re-checked after every callback,
-        # so callbacks are free to merge-insert timers, sweep the
-        # wheel, or peek() without invalidating loop state.  Runs of
-        # same-instant due timers are dispatched in a tight inner loop
-        # that skips the full pop machinery between events; the batch
-        # bails back to the outer loop the moment a callback schedules
-        # a same-instant event, perturbs the due cursor, or the run
-        # hits a tombstone.
+        # two calls per event it saves are measurable.  _compact()
+        # mutates the heap list in place, so the local binding below
+        # stays valid across callbacks.
         urgent = self._urgent
         normal = self._normal
+        heap = self._heap
         dispatched = 0
         try:
             while True:
+                if stop_event is not None and stop_event.callbacks is None:
+                    if stop_event._ok:
+                        return stop_event._value
+                    if stop_event._ok is None:
+                        raise SimulationError(
+                            "the awaited timeout was cancelled")
+                    raise stop_event._exception
                 # -- pop the next live event in (time, priority, seq) order
                 if urgent:
                     # Urgent events are always at the current instant and
                     # never cancellable (see _pop).
                     event = urgent.popleft()
                 elif normal:
-                    due = self._due
-                    di = self._due_i
-                    if di < len(due) and due[di][0] == self.now \
-                            and due[di][1] < normal[0][0]:
-                        # Same-instant due timer scheduled before the FIFO
+                    if heap and heap[0][0] == self.now \
+                            and heap[0][1] < normal[0][0]:
+                        # Same-instant heap entry scheduled before the FIFO
                         # head (a timer whose due time has just arrived).
-                        event = due[di][2]
-                        self._due_i = di + 1
+                        event = heappop(heap)[2]
                     else:
                         event = normal.popleft()[1]
                     if event.callbacks is None:  # cancelled zero-delay timer
                         self._n_cancelled -= 1
                         continue
                 else:
-                    due = self._due
-                    di = self._due_i
-                    if di >= len(due):
-                        # Inline single-bucket drain (the hot refill
-                        # path; cascades and overflow go through
-                        # _refill).  The exhausted batch list is
-                        # recycled as the drained slot's fresh bucket,
-                        # so steady-state draining allocates nothing.
-                        bm = self._bm0
-                        if bm:
-                            lsb = bm & -bm
-                            bm ^= lsb
-                            slot = lsb.bit_length() - 1
-                            l0 = self._l0
-                            bucket = l0[slot]
-                            del due[:]
-                            l0[slot] = due
-                            if len(bucket) > 1:
-                                bucket.sort()
-                            # Thin-bucket amortisation (see _refill):
-                            # sparse pages drain several slots per
-                            # batch instead of paying the full drain
-                            # per event.
-                            while bm and len(bucket) < 64:
-                                lsb = bm & -bm
-                                bm ^= lsb
-                                slot = lsb.bit_length() - 1
-                                more = l0[slot]
-                                if len(more) > 1:
-                                    more.sort()
-                                bucket += more
-                                del more[:]
-                            self._bm0 = bm
-                            # -256 == ~_WHEEL_MASK (constant-folded)
-                            self._cur = (self._cur & -256) | slot
-                            departed = self._departed
-                            count = (self._seq - self._stat_norm_fifo
-                                     - departed)
-                            if count > self._stat_wheel_max:
-                                self._stat_wheel_max = count
-                            self._departed = departed + len(bucket)
-                            due = self._due = bucket
-                            self._due_i = 0
-                            self._stat_drains += 1
-                        elif not self._refill():
-                            if stop_event is not None:
-                                raise SimulationError(
-                                    "event queue empty before the awaited "
-                                    "event fired"
-                                )
-                            if bounded:
-                                self.now = horizon
-                            return None
-                        else:
-                            due = self._due
-                        di = 0
-                    entry = due[di]
-                    event = entry[2]
+                    if not heap:
+                        if stop_event is not None:
+                            raise SimulationError(
+                                "event queue empty before the awaited "
+                                "event fired"
+                            )
+                        if bounded:
+                            self.now = horizon
+                        return None
+                    # Pop first, then check: one heap access per event
+                    # instead of a peek + pop.
+                    when, seq, event = heappop(heap)
                     if event.callbacks is None:  # cancelled timer: purge
-                        self._due_i = di + 1
                         self._n_cancelled -= 1
                         continue
-                    when = entry[0]
                     if when > horizon:
-                        # Leave the batch tail queued; horizon is finite
-                        # only for bounded runs.
+                        heappush(heap, (when, seq, event))
+                        # horizon is finite only for bounded runs
                         self.now = horizon
                         return None
-                    # No scheduled-in-the-past check here: due entries
-                    # are never earlier than the instant that drained
-                    # them and the clock never runs backwards.  _pop
-                    # keeps the check for the step()/peek() path.
-                    ndi = di + 1
-                    self._due_i = ndi
+                    # No scheduled-in-the-past check here: heap entries
+                    # are strictly future-dated at creation (negative
+                    # delays raise) and the clock never runs backwards.
+                    # _pop keeps the check for the step()/peek() path.
                     self.now = when
-                    # Batch state: gen detects any out-of-band due-batch
-                    # perturbation (merge-insert, sweep, peek purge,
-                    # refill); while it holds, len(due) cannot change,
-                    # so the bound is hoisted too.
-                    gen = self._gen
-                    n = len(due)
-                    # -- batch dispatch of the due run
-                    while True:
-                        if event._ok is None:
-                            event._ok = True
-                        dispatched += 1
-                        callbacks = event.callbacks
-                        event.callbacks = None
-                        if len(callbacks) == 1:
-                            # Nearly every event has exactly one waiter.
-                            callbacks[0](event)
-                        else:
-                            for callback in callbacks:
-                                callback(event)
-                        if not event._ok and not event._defused:
-                            raise event._exception
-                        if stop_event is not None \
-                                and stop_event.callbacks is None:
-                            if stop_event._ok:
-                                return stop_event._value
-                            raise stop_event._exception
-                        # Continue the batch only while nothing outranks
-                        # the next due entry: no urgent/normal arrivals
-                        # (new same-instant events always carry larger
-                        # seqs, but urgent ones outrank the wheel) and
-                        # the due batch untouched by callbacks (one
-                        # generation compare covers merge-inserts,
-                        # sweeps, purges and refills).  The clock
-                        # advances inside the batch — due entries are
-                        # sorted, so any prefix of live entries under
-                        # the horizon dispatches without the full pop
-                        # logic above.
-                        if urgent or normal or self._gen != gen \
-                                or ndi >= n:
-                            break
-                        entry = due[ndi]
-                        when = entry[0]
-                        if when > horizon:
-                            break
-                        event = entry[2]
-                        if event.callbacks is None:
-                            break  # outer loop purges tombstones
-                        ndi += 1
-                        self._due_i = ndi
-                        self.now = when
-                    continue
-                # -- dispatch (mirrors _dispatch) for FIFO events
+                # -- dispatch (mirrors _dispatch)
                 if event._ok is None:
                     event._ok = True
                 dispatched += 1
                 callbacks = event.callbacks
                 event.callbacks = None
                 if len(callbacks) == 1:
+                    # Nearly every event has exactly one waiter.
                     callbacks[0](event)
                 else:
                     for callback in callbacks:
                         callback(event)
                 if not event._ok and not event._defused:
                     raise event._exception
-                if stop_event is not None and stop_event.callbacks is None:
-                    if stop_event._ok:
-                        return stop_event._value
-                    raise stop_event._exception
         finally:
             self._stat_dispatched += dispatched

@@ -1,11 +1,10 @@
-"""Engine profiling hooks: event counts and wheel occupancy marks.
+"""Engine profiling hooks: event counts and heap occupancy marks.
 
 The :class:`~repro.sim.engine.Simulator` maintains a handful of cheap
-counters on its hot path (dispatched events, timer-wheel pushes, wheel
-occupancy high-water, same-instant fast-path hits, timer cancellations,
-bucket drains and level cascades).  This module turns them into a
-readable report so benchmarks and experiments can see *where* engine
-time goes and how the timer wheel actually behaves::
+counters on its hot path (dispatched events, timer-heap pushes, heap
+high-water, same-instant fast-path hits, timer cancellations and
+tombstone compactions).  This module turns them into a readable report
+so benchmarks and experiments can see *where* engine time goes::
 
     from repro.sim.profile import attach_profile
 
@@ -34,15 +33,13 @@ class ProfileSnapshot:
     """A frozen copy of the engine counters at one moment."""
 
     events_dispatched: int
-    wheel_pushes: int
-    wheel_high_water: int
+    timer_pushes: int
+    heap_high_water: int
     fast_path_events: int
     timeouts_cancelled: int
-    wheel_sweeps: int
-    bucket_drains: int
-    cascaded_entries: int
+    compactions: int
     pending_tombstones: int
-    wheel_size: int
+    pending_timers: int
 
 
 class EngineProfile:
@@ -53,42 +50,37 @@ class EngineProfile:
 
     def snapshot(self) -> ProfileSnapshot:
         sim = self.sim
-        # Sequence numbers are consumed only by wheel pushes and NORMAL
-        # same-instant appends, so wheel pushes are derived rather than
+        # Sequence numbers are consumed only by heap pushes and NORMAL
+        # same-instant appends, so heap pushes are derived rather than
         # counted on the push path.
         return ProfileSnapshot(
             events_dispatched=sim._stat_dispatched,
-            wheel_pushes=sim._seq - sim._stat_norm_fifo,
-            wheel_high_water=sim._stat_wheel_max,
+            timer_pushes=sim._seq - sim._stat_norm_fifo,
+            heap_high_water=sim._stat_heap_max,
             fast_path_events=sim._stat_urgent_fifo + sim._stat_norm_fifo,
             timeouts_cancelled=sim._stat_cancels,
-            wheel_sweeps=sim._stat_sweeps,
-            bucket_drains=sim._stat_drains,
-            cascaded_entries=sim._stat_cascades,
+            compactions=sim._stat_compactions,
             pending_tombstones=sim._n_cancelled,
-            wheel_size=sim.pending_timers,
+            pending_timers=sim.pending_timers,
         )
 
     def report(self) -> dict[str, int | float]:
         """JSON-ready counter dict, plus the fast-path hit ratio."""
         snap = self.snapshot()
-        scheduled = snap.wheel_pushes + snap.fast_path_events
-        data: dict[str, int | float] = {
+        scheduled = snap.timer_pushes + snap.fast_path_events
+        return {
             "events_dispatched": snap.events_dispatched,
-            "wheel_pushes": snap.wheel_pushes,
-            "wheel_high_water": snap.wheel_high_water,
+            "timer_pushes": snap.timer_pushes,
+            "heap_high_water": snap.heap_high_water,
             "fast_path_events": snap.fast_path_events,
             "fast_path_ratio": (
                 round(snap.fast_path_events / scheduled, 4) if scheduled else 0.0
             ),
             "timeouts_cancelled": snap.timeouts_cancelled,
-            "wheel_sweeps": snap.wheel_sweeps,
-            "bucket_drains": snap.bucket_drains,
-            "cascaded_entries": snap.cascaded_entries,
+            "compactions": snap.compactions,
             "pending_tombstones": snap.pending_tombstones,
-            "wheel_size": snap.wheel_size,
+            "pending_timers": snap.pending_timers,
         }
-        return data
 
     def format(self) -> str:
         """Human-readable multi-line report."""

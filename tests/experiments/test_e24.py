@@ -2,9 +2,11 @@
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.exp.golden import golden_digest
 from repro.exp.pool import jsonable
 from repro.experiments.e24_tenancy import (
     SECTIONS,
@@ -15,6 +17,8 @@ from repro.experiments.e24_tenancy import (
     validate_tenancy_payload,
     write_tenancy_artifact,
 )
+
+HASHES = Path(__file__).parents[1] / "golden" / "hashes.json"
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +68,14 @@ def test_smoke_artifact_round_trips_and_validates(smoke, capsys):
     render_tenancy(cells)
     out = capsys.readouterr().out
     assert "noisy neighbours" in out
+
+
+def test_smoke_artifact_matches_digest_pin(smoke):
+    cells, path = smoke
+    pin = json.loads(HASHES.read_text())["e24_smoke"]
+    assert golden_digest(write_tenancy_artifact(cells, str(path))) == pin, (
+        "E24 smoke artifact drifted from its pin; if intended, re-pin with "
+        "`python tools/regen_golden.py --hashes`")
 
 
 def test_validation_rejects_a_violating_cell(smoke):

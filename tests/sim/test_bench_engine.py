@@ -25,13 +25,13 @@ def test_quick_run_writes_report(tmp_path, capsys):
     assert report["has_cancel"] is True
     names = set(report["benchmarks"])
     assert names == {"timer_churn", "zero_delay_chain", "anyof_fanin",
-                     "cancel_churn", "wheel_stress", "frame_churn"}
+                     "cancel_churn", "frame_churn"}
     for result in report["benchmarks"].values():
         assert result["events"] > 0
         assert result["events_per_sec"] > 0
         profile = result["profile"]
         assert profile["events_dispatched"] > 0
-        assert profile["wheel_high_water"] >= 0
+        assert profile["heap_high_water"] >= 0
     # The quick run prints a table but must not prompt or block.
     assert "benchmark" in capsys.readouterr().out
 
@@ -50,25 +50,11 @@ def test_profile_counters_consistent():
 
     report = attach_profile(sim).report()
     assert report["events_dispatched"] >= events
-    # Every timer in this workload is future-dated: all wheel pushes.
-    assert report["wheel_pushes"] >= events
-    assert 0 < report["wheel_high_water"] <= 50 + 1
+    # Every timer in this workload is future-dated: all heap pushes.
+    assert report["timer_pushes"] >= events
+    assert 0 < report["heap_high_water"] <= 50 + 1
     assert report["timeouts_cancelled"] == 0
-    assert report["wheel_size"] == 0  # run() drained the wheel
-
-
-def test_wheel_stress_exercises_cascades():
-    sim, events = bench_engine._run_wheel_stress(50, 20)
-    from repro.sim import attach_profile
-
-    report = attach_profile(sim).report()
-    assert report["events_dispatched"] >= events
-    # Multi-level delays mean upper-level inserts cascading back down
-    # and L0 buckets actually draining — the paths this workload exists
-    # to stress.
-    assert report["cascaded_entries"] > 0
-    assert report["bucket_drains"] > 0
-    assert report["wheel_size"] == 0
+    assert report["pending_timers"] == 0  # run() drained the heap
 
 
 def test_guard_fails_on_missing_baseline_entry():

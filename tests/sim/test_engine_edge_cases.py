@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, Interrupt, SimulationError, Simulator
+from repro.sim import (AllOf, AnyOf, Event, Interrupt, SimulationError,
+                       Simulator, attach_profile)
+
+#: 2^32 ns (~4.3 s): far enough out to stress any fixed-horizon queue.
+T32 = 2 ** 32
 
 
 def test_anyof_propagates_failure():
@@ -222,15 +226,137 @@ def test_anyof_over_already_fired_event():
 
 def test_mass_cancellation_compacts_heap():
     sim = Simulator()
+    profile = attach_profile(sim)
     guards = [sim.timeout(1000 + i) for i in range(300)]
     keeper = sim.timeout(5000, value="keep")
     for guard in guards:
         assert guard.cancel()
-    # Tombstones came to dominate, so the wheel was swept in place.
-    assert sim._stat_sweeps >= 1
+    # Tombstones came to dominate, so the heap was compacted in place.
+    assert profile.report()["compactions"] >= 1
     assert sim.pending_timers < 300
     assert sim.run(until=keeper) == "keep"
     assert sim.now == 5000
+
+
+def test_run_until_timeout_cancelled_before_the_call():
+    sim = Simulator()
+    guard = sim.timeout(50)
+    sim.timeout(100)
+    guard.cancel()
+    with pytest.raises(SimulationError, match="awaited timeout was cancelled"):
+        sim.run(until=guard)
+
+
+def test_run_until_timeout_cancelled_during_the_run():
+    sim = Simulator()
+    guard = sim.timeout(50)
+
+    def canceller():
+        yield sim.timeout(10)
+        guard.cancel()
+        yield sim.timeout(100)
+
+    sim.process(canceller())
+    with pytest.raises(SimulationError, match="awaited timeout was cancelled"):
+        sim.run(until=guard)
+    assert sim.now == 10
+
+
+def test_anyof_detaches_from_losing_events():
+    sim = Simulator()
+    fast, slow = sim.timeout(1), sim.timeout(100)
+    done = AnyOf(sim, [fast, slow])
+    sim.run(until=done)
+    # The winner fired the condition; the loser must not keep it alive.
+    assert slow.callbacks == []
+
+
+def _fire_order(delays):
+    """Arm one timer per delay; return (delay, arming index) in dispatch
+    order, after checking the clock stopped at the last one."""
+    sim = Simulator()
+    fired = []
+    for i, delay in enumerate(delays):
+        sim.timeout(delay, value=(delay, i)).add_callback(
+            lambda ev: fired.append(ev._value)
+        )
+    sim.run()
+    assert sim.now == max(delays)
+    return fired
+
+
+def _armed_after_bounded_run():
+    sim = Simulator()
+    fired = []
+
+    def note(ev):
+        fired.append((ev._value, sim.now))
+
+    sim.timeout(505, value=505).add_callback(note)
+    sim.run(until=sim.timeout(500))
+    sim.timeout(2, value=502).add_callback(note)
+    sim.run()
+    return fired
+
+
+def _peek_far_apart():
+    sim = Simulator()
+    sim.timeout(T32 + 9)
+    sim.timeout(3)
+    seen = []
+    for _ in range(3):
+        seen.append((sim.now, sim.peek()))
+        sim.step()
+    return seen
+
+
+def _mass_cancelled_far_future():
+    sim = Simulator()
+    guards = [sim.timeout(T32 + 10 + i) for i in range(200)]
+    keeper = sim.timeout(50, value="keep")
+    for guard in guards:
+        guard.cancel()
+    result = sim.run(until=keeper)
+    sim.run()
+    return [result, sim.now]
+
+
+_MIXED = [255, 256, 257, 65535, 65536, 65537,
+          2**24 - 1, 2**24, 2**24 + 1, T32 - 1, 3, 1000]
+
+
+@pytest.mark.parametrize("scenario, expected", [
+    pytest.param(lambda: _fire_order([65541] * 10),
+                 [(65541, i) for i in range(10)], id="same-delay-ties"),
+    pytest.param(lambda: _fire_order([5.75, 5.25, 5.5, 5.0, 6.0]),
+                 [(5.0, 3), (5.25, 1), (5.5, 2), (5.75, 0), (6.0, 4)],
+                 id="fractional-delays"),
+    pytest.param(lambda: _fire_order(_MIXED),
+                 sorted((d, i) for i, d in enumerate(_MIXED)),
+                 id="mixed-delays"),
+    pytest.param(lambda: _fire_order([2**24 + 7]), [(2**24 + 7, 0)],
+                 id="lone-far-timer"),
+    pytest.param(lambda: _fire_order([2 * T32 + 3, 5, T32 + 1]),
+                 [(5, 1), (T32 + 1, 2), (2 * T32 + 3, 0)],
+                 id="far-future-order"),
+    pytest.param(lambda: _fire_order([float(T32)]), [(float(T32), 0)],
+                 id="far-future-boundary"),
+    pytest.param(lambda: _fire_order([T32 + 100, T32 + 1, T32 + 100,
+                                      T32 + 50]),
+                 [(T32 + 1, 1), (T32 + 50, 3), (T32 + 100, 0),
+                  (T32 + 100, 2)],
+                 id="far-future-ties"),
+    pytest.param(_armed_after_bounded_run, [(502, 502.0), (505, 505.0)],
+                 id="armed-after-bounded-run"),
+    pytest.param(_peek_far_apart,
+                 [(0, 3), (3, T32 + 9), (T32 + 9, float("inf"))],
+                 id="peek-far-apart"),
+    pytest.param(_mass_cancelled_far_future, ["keep", 50],
+                 id="mass-cancelled-far-future"),
+])
+def test_dispatch_order(scenario, expected):
+    """Events run in (time, arming order), however far apart they are."""
+    assert scenario() == expected
 
 
 def test_priority_store_blocking_put_rejected():

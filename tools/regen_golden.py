@@ -3,11 +3,12 @@
 
 Runs every deterministic experiment at the default root seed and pins
 its structured results: E1-E18 as full JSON files
-(``tests/golden/<name>.json``), E19-E23 as SHA-256 digests
-(``tests/golden/hashes.json``, volatile wall-clock fields stripped —
-see :mod:`repro.exp.golden`).  The tier-1 test
-``tests/golden/test_golden.py`` re-runs the experiments and diffs
-against these pins, so regenerate (``make regen-golden``) whenever an
+(``tests/golden/<name>.json``), E19-E23 and the E24/E25 smoke artifacts
+as SHA-256 digests (``tests/golden/hashes.json``, volatile wall-clock
+fields stripped — see :mod:`repro.exp.golden`).  The tier-1 tests
+(``tests/golden/test_golden.py``, ``tests/experiments/test_e24.py`` and
+``test_e25.py``) re-run the experiments and compare against these pins,
+so regenerate (``make regen-golden``) whenever an
 intentional behaviour change shifts the numbers — and eyeball the git
 diff to confirm the shift is the one you meant to make.
 
@@ -15,7 +16,7 @@ Usage::
 
     python tools/regen_golden.py            # all of e1..e18
     python tools/regen_golden.py e5 e11     # a subset
-    python tools/regen_golden.py --hashes   # re-pin e19..e23 digests
+    python tools/regen_golden.py --hashes   # re-pin e19..e23 + smoke digests
 """
 
 from __future__ import annotations
@@ -33,9 +34,16 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.exp.golden import HASHED_EXPERIMENTS, golden_digest  # noqa: E402
 from repro.exp.jobs import run_experiments  # noqa: E402
+from repro.experiments import e24_tenancy, e25_slo  # noqa: E402
 
 GOLDEN_DIR = REPO / "tests" / "golden"
 GOLDEN_EXPERIMENTS = tuple(f"e{i}" for i in range(1, 19))
+#: smoke-sized runs pinned by the digest of the artifact they write:
+#: pin name -> (runner, artifact writer)
+SMOKE_RUNS = {
+    "e24_smoke": (e24_tenancy.run_tenancy, e24_tenancy.write_tenancy_artifact),
+    "e25_smoke": (e25_slo.run_slo, e25_slo.write_slo_artifact),
+}
 
 
 def regenerate(names: list[str]) -> int:
@@ -68,6 +76,11 @@ def regenerate_hashes() -> int:
             with redirect_stdout(tables):
                 outcome = run_experiments(list(HASHED_EXPERIMENTS), jobs=1,
                                           cache=None, root_seed=0)
+            smoke_pins = {
+                name: golden_digest(
+                    write(run(verbose=False, smoke=True), f"{name}.json"))
+                for name, (run, write) in SMOKE_RUNS.items()
+            }
         finally:
             os.chdir(keep)
     if outcome.failed:
@@ -79,6 +92,7 @@ def regenerate_hashes() -> int:
             json.loads(json.dumps(outcome.values[name], sort_keys=True)))
         for name in HASHED_EXPERIMENTS
     }
+    pins.update(smoke_pins)
     path = GOLDEN_DIR / "hashes.json"
     path.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path.relative_to(REPO)}")
