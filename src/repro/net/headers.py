@@ -8,7 +8,8 @@ demultiplexing operates on real wire bytes rather than Python objects.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional
 
 from .checksum import internet_checksum
 
@@ -20,10 +21,21 @@ __all__ = [
     "HeaderError",
     "ETHERTYPE_IPV4",
     "IPPROTO_UDP",
+    "frame_dst_mac",
+    "frame_flow",
 ]
 
 ETHERTYPE_IPV4 = 0x0800
 IPPROTO_UDP = 17
+
+#: decoders compiled once; ``unpack_from`` reads in place at an offset,
+#: so no layer copies the frame behind its header to decode it
+_ETHERNET = struct.Struct("!HIHIH")  # MACs as high 16 + low 32 bits
+_IPV4 = struct.Struct("!BBHHHBBHII")
+_UDP = struct.Struct("!HHHH")
+#: what a switch hashes per hop: the ethertype, IPv4 version/IHL and
+#: addresses, and the UDP ports, read straight off the frame
+_FLOW = struct.Struct("!12xHB11xIIHH")
 
 
 class HeaderError(ValueError):
@@ -77,13 +89,16 @@ class EthernetHeader:
         )
 
     @classmethod
-    def unpack(cls, raw: bytes) -> "EthernetHeader":
-        if len(raw) < cls.SIZE:
-            raise HeaderError(f"Ethernet header truncated: {len(raw)} B")
+    def unpack(cls, raw: bytes, offset: int = 0) -> "EthernetHeader":
+        if len(raw) - offset < cls.SIZE:
+            raise HeaderError(
+                f"Ethernet header truncated: {len(raw) - offset} B")
+        dst_hi, dst_lo, src_hi, src_lo, ethertype = _ETHERNET.unpack_from(
+            raw, offset)
         return cls(
-            dst=MacAddress.from_bytes(raw[0:6]),
-            src=MacAddress.from_bytes(raw[6:12]),
-            ethertype=struct.unpack("!H", raw[12:14])[0],
+            dst=MacAddress(dst_hi << 32 | dst_lo),
+            src=MacAddress(src_hi << 32 | src_lo),
+            ethertype=ethertype,
         )
 
 
@@ -103,8 +118,7 @@ class Ipv4Header:
 
     def pack(self) -> bytes:
         version_ihl = (4 << 4) | 5
-        header = struct.pack(
-            "!BBHHHBBH4s4s",
+        header = _IPV4.pack(
             version_ihl,
             self.dscp << 2,
             self.total_length,
@@ -113,16 +127,17 @@ class Ipv4Header:
             self.ttl,
             self.protocol,
             0,  # checksum placeholder
-            self.src.to_bytes(4, "big"),
-            self.dst.to_bytes(4, "big"),
+            self.src,
+            self.dst,
         )
         checksum = internet_checksum(header)
         return header[:10] + struct.pack("!H", checksum) + header[12:]
 
     @classmethod
-    def unpack(cls, raw: bytes, verify: bool = True) -> "Ipv4Header":
-        if len(raw) < cls.SIZE:
-            raise HeaderError(f"IPv4 header truncated: {len(raw)} B")
+    def unpack(cls, raw: bytes, offset: int = 0,
+               verify: bool = True) -> "Ipv4Header":
+        if len(raw) - offset < cls.SIZE:
+            raise HeaderError(f"IPv4 header truncated: {len(raw) - offset} B")
         (
             version_ihl,
             dscp_ecn,
@@ -132,19 +147,19 @@ class Ipv4Header:
             ttl,
             protocol,
             _checksum,
-            src_raw,
-            dst_raw,
-        ) = struct.unpack("!BBHHHBBH4s4s", raw[: cls.SIZE])
+            src,
+            dst,
+        ) = _IPV4.unpack_from(raw, offset)
         version, ihl = version_ihl >> 4, version_ihl & 0xF
         if version != 4:
             raise HeaderError(f"not IPv4 (version={version})")
         if ihl != 5:
             raise HeaderError(f"IPv4 options unsupported (ihl={ihl})")
-        if verify and internet_checksum(raw[: cls.SIZE]) != 0:
+        if verify and internet_checksum(raw[offset:offset + cls.SIZE]) != 0:
             raise HeaderError("IPv4 header checksum mismatch")
         return cls(
-            src=int.from_bytes(src_raw, "big"),
-            dst=int.from_bytes(dst_raw, "big"),
+            src=src,
+            dst=dst,
             total_length=total_length,
             protocol=protocol,
             ttl=ttl,
@@ -165,16 +180,14 @@ class UdpHeader:
     SIZE = 8
 
     def pack(self) -> bytes:
-        return struct.pack(
-            "!HHHH", self.src_port, self.dst_port, self.length, self.checksum
-        )
+        return _UDP.pack(
+            self.src_port, self.dst_port, self.length, self.checksum)
 
     @classmethod
-    def unpack(cls, raw: bytes) -> "UdpHeader":
-        if len(raw) < cls.SIZE:
-            raise HeaderError(f"UDP header truncated: {len(raw)} B")
-        src_port, dst_port, length, checksum = struct.unpack("!HHHH", raw[:8])
-        return cls(src_port, dst_port, length, checksum)
+    def unpack(cls, raw: bytes, offset: int = 0) -> "UdpHeader":
+        if len(raw) - offset < cls.SIZE:
+            raise HeaderError(f"UDP header truncated: {len(raw) - offset} B")
+        return cls(*_UDP.unpack_from(raw, offset))
 
     @staticmethod
     def compute_checksum(
@@ -189,7 +202,35 @@ class UdpHeader:
             IPPROTO_UDP,
             length,
         )
-        segment = struct.pack("!HHHH", src_port, dst_port, length, 0) + payload
+        segment = _UDP.pack(src_port, dst_port, length, 0) + payload
         checksum = internet_checksum(pseudo + segment)
         # RFC 768: a computed zero is transmitted as all ones.
         return checksum or 0xFFFF
+
+
+#: frame bytes up to the end of the UDP header
+_UDP_END = EthernetHeader.SIZE + Ipv4Header.SIZE + UdpHeader.SIZE
+
+
+def frame_dst_mac(raw: bytes) -> int:
+    """The destination MAC of an Ethernet frame, as an integer."""
+    if len(raw) < EthernetHeader.SIZE:
+        raise HeaderError(f"Ethernet header truncated: {len(raw)} B")
+    return int.from_bytes(raw[:6], "big")
+
+
+def frame_flow(raw: bytes) -> Optional[tuple[int, int, int, int]]:
+    """``(src_ip, dst_ip, src_port, dst_port)`` of an Ethernet/IPv4 frame.
+
+    None exactly when decoding the three headers would fail or the
+    ethertype is not IPv4: a truncated frame, an IP version other than
+    4, or IPv4 options.  The ports are read as UDP's whatever the IP
+    protocol, as :meth:`UdpHeader.unpack` would.
+    """
+    if len(raw) < _UDP_END:
+        return None
+    ethertype, version_ihl, src, dst, src_port, dst_port = (
+        _FLOW.unpack_from(raw))
+    if ethertype != ETHERTYPE_IPV4 or version_ihl != 0x45:
+        return None
+    return src, dst, src_port, dst_port

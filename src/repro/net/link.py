@@ -25,7 +25,7 @@ from typing import Callable, Optional
 from ..sim.clock import bytes_time_ns
 from ..sim.engine import Simulator
 from ..sim.resources import Store
-from .headers import MacAddress
+from .headers import MacAddress, frame_dst_mac, frame_flow
 from .packet import Frame
 
 __all__ = ["LinkStats", "Link", "SwitchFabric", "Port"]
@@ -245,35 +245,20 @@ class SwitchFabric:
         frames fall back to member 0.
         """
         from ..nic.rss import rss_hash
-        from .headers import (
-            ETHERTYPE_IPV4, EthernetHeader, HeaderError, Ipv4Header,
-            UdpHeader,
-        )
 
-        raw = frame.data
-        try:
-            eth = EthernetHeader.unpack(raw)
-            if eth.ethertype != ETHERTYPE_IPV4:
-                return 0
-            ip = Ipv4Header.unpack(raw[EthernetHeader.SIZE:], verify=False)
-            udp = UdpHeader.unpack(
-                raw[EthernetHeader.SIZE + Ipv4Header.SIZE:]
-            )
-        except (HeaderError, ValueError):
+        flow = frame_flow(frame.data)
+        if flow is None:
             return 0
-        value = rss_hash(ip.src, ip.dst, udp.src_port, udp.dst_port)
-        return (value ^ self.ecmp_salt) % n
+        return (rss_hash(*flow) ^ self.ecmp_salt) % n
 
     def _forward_loop(self, port: Port):
-        from .headers import EthernetHeader
-
         while True:
             frame = yield from port.ingress.receive()
             yield self.sim.timeout(self.switching_ns)
-            eth = EthernetHeader.unpack(frame.data)
-            target = self.ports.get(eth.dst.value)
+            dst = frame_dst_mac(frame.data)
+            target = self.ports.get(dst)
             if target is None:
-                target = self._route_port(eth.dst.value, frame)
+                target = self._route_port(dst, frame)
             if target is None:
                 self.unknown_dst_drops += 1
                 continue

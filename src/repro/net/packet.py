@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .checksum import internet_checksum
 from .headers import (
     ETHERTYPE_IPV4,
     IPPROTO_UDP,
@@ -160,7 +159,7 @@ def parse_udp_frame(frame: Frame, verify: bool = True) -> ParsedUdp:
     if eth.ethertype != ETHERTYPE_IPV4:
         raise HeaderError(f"not IPv4: ethertype={eth.ethertype:#06x}")
     ip_start = EthernetHeader.SIZE
-    ip = Ipv4Header.unpack(raw[ip_start:], verify=verify)
+    ip = Ipv4Header.unpack(raw, ip_start, verify=verify)
     if ip.protocol != IPPROTO_UDP:
         raise HeaderError(f"not UDP: protocol={ip.protocol}")
     if len(raw) < ip_start + ip.total_length:
@@ -168,7 +167,7 @@ def parse_udp_frame(frame: Frame, verify: bool = True) -> ParsedUdp:
             f"frame shorter ({len(raw)} B) than IP total_length ({ip.total_length})"
         )
     udp_start = ip_start + Ipv4Header.SIZE
-    udp = UdpHeader.unpack(raw[udp_start:])
+    udp = UdpHeader.unpack(raw, udp_start)
     payload_start = udp_start + UdpHeader.SIZE
     payload = raw[payload_start : udp_start + udp.length]
     if len(payload) != udp.length - UdpHeader.SIZE:

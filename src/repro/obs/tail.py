@@ -88,11 +88,23 @@ def slow_roots_by_group(recorder, quantile: float = 0.999,
     return grouped
 
 
-def _matches(name: str, patterns: Iterable[str]) -> bool:
-    return any(pattern in name for pattern in patterns)
+def _state_keys(windows, patterns: Iterable[str],
+                ) -> dict[str, Optional[str]]:
+    """Each state metric named in ``windows`` -> its ``host<i>`` or None.
+
+    A report resolves every name's pattern and host match here, once,
+    rather than once per window the name appears in.  Slow requests
+    share windows, so each distinct window is read once.
+    """
+    patterns = tuple(patterns)  # scanned once per name: no one-shot iterators
+    names: set[str] = set()
+    for window in dict.fromkeys(windows):
+        names.update(window.values)
+    return {name: metric_host(name) for name in names
+            if any(pattern in name for pattern in patterns)}
 
 
-def _state_over(windows, patterns,
+def _state_over(windows, state_keys: dict[str, Optional[str]],
                 host: Optional[str] = None) -> dict[str, dict[str, float]]:
     """``{metric: {min,mean,max}}`` for state keys across windows.
 
@@ -101,23 +113,18 @@ def _state_over(windows, patterns,
     should not be explained by host5's run queue.  Unscoped metrics
     (shared switches, clients, single-host runs) always join.
     """
-    samples: dict[str, list[float]] = {}
-    for window in windows:
-        for name, value in window.values.items():
-            if _matches(name, patterns):
-                if host is not None:
-                    owner = metric_host(name)
-                    if owner is not None and owner != host:
-                        continue
-                samples.setdefault(name, []).append(value)
-    return {
-        name: {
-            "min": min(values),
-            "mean": sum(values) / len(values),
-            "max": max(values),
-        }
-        for name, values in sorted(samples.items())
-    }
+    state: dict[str, dict[str, float]] = {}
+    for name, owner in sorted(state_keys.items()):
+        if host is not None and owner is not None and owner != host:
+            continue
+        values = [w.values[name] for w in windows if name in w.values]
+        if values:
+            state[name] = {
+                "min": min(values),
+                "mean": sum(values) / len(values),
+                "max": max(values),
+            }
+    return state
 
 
 def tail_report(
@@ -142,11 +149,15 @@ def tail_report(
     slow = slow_roots(recorder, quantile)
     truncated = max(0, len(slow) - max_requests)
     by_trace = recorder.traces()
+    shown = slow[:max_requests]
+    overlaps = [sampler.overlapping(root.start_ns, root.end_ns)
+                for root in shown]
+    state_keys = _state_keys(
+        (window for windows in overlaps for window in windows), patterns)
 
     requests = []
     tagged = False
-    for root in slow[:max_requests]:
-        windows = sampler.overlapping(root.start_ns, root.end_ns)
+    for root, windows in zip(shown, overlaps):
         stages: dict[str, float] = {}
         for span in by_trace.get(root.trace_id, ()):
             if span is not root and span.finished:
@@ -162,7 +173,7 @@ def tail_report(
             "stages": stages,
             "window_indices": [w.index for w in windows],
             "windows_missing": not windows,
-            "state": _state_over(windows, patterns, host),
+            "state": _state_over(windows, state_keys, host),
         }
         # origin keys appear only when the demux annotated the root
         # (tag_origin), so historical payloads are byte-identical

@@ -1,7 +1,9 @@
 """Unit + property tests for wire headers and checksums."""
 
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import (
@@ -11,12 +13,73 @@ from repro.net import (
     Ipv4Header,
     MacAddress,
     UdpHeader,
+    build_udp_frame,
     internet_checksum,
     verify_checksum,
 )
+from repro.net.headers import frame_dst_mac, frame_flow
 
 
 # -- checksum ---------------------------------------------------------------
+
+def _rfc1071_sum(data: bytes) -> int:
+    """The reference: RFC 1071's 16-bit word loop with end-around carry."""
+    if len(data) % 2:
+        data = data + b"\x00"
+    total = 0
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return total
+
+
+def _assert_matches_reference(data: bytes) -> None:
+    total = _rfc1071_sum(data)
+    assert internet_checksum(data) == (~total) & 0xFFFF
+    assert verify_checksum(data) == (total == 0xFFFF)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(min_size=0, max_size=9000))
+def test_checksum_equals_the_word_loop(data):
+    _assert_matches_reference(data)
+    # ...and on the buffer that verifies, so both verdicts are compared
+    padded = data + b"\x00" if len(data) % 2 else data
+    _assert_matches_reference(
+        padded + internet_checksum(data).to_bytes(2, "big"))
+
+
+def _words(*words: int) -> bytes:
+    return b"".join(word.to_bytes(2, "big") for word in words)
+
+
+@pytest.mark.parametrize("data", [
+    b"",
+    b"\x01",
+    b"\xff",
+    b"\x00" * 2, b"\x00" * 7, b"\x00" * 64,
+    b"\xff" * 2, b"\xff" * 7, b"\xff" * 64,
+    _words(0x1234, 0xEDCB),            # word sum 0xFFFF
+    _words(0x8000, 0x8000, 0xFFFE),    # word sum 2 * 0xFFFF
+    random.Random(3988).randbytes(3988),  # a storm-sized segment
+], ids=lambda data: f"{len(data)}B")
+def test_checksum_vectors_equal_the_word_loop(data):
+    _assert_matches_reference(data)
+
+
+def test_checksum_edge_values():
+    # all-zero words sum to 0, never to the negative zero 0xFFFF
+    assert internet_checksum(b"") == 0xFFFF
+    assert not verify_checksum(b"")
+    # a nonzero multiple of 0xFFFF folds to 0xFFFF, which verifies
+    for data in (b"\xff" * 64, _words(0x1234, 0xEDCB),
+                 _words(0x8000, 0x8000, 0xFFFE)):
+        assert internet_checksum(data) == 0
+        assert verify_checksum(data)
+    # an odd tail byte is the high byte of a zero-padded word
+    assert internet_checksum(b"\x01") == 0xFEFF
+
 
 def test_checksum_known_vector():
     # Classic RFC 1071 worked example.
@@ -149,3 +212,72 @@ def test_udp_checksum_deterministic(payload):
     a = UdpHeader.compute_checksum(1, 2, 3, 4, payload)
     b = UdpHeader.compute_checksum(1, 2, 3, 4, payload)
     assert a == b and 0 < a <= 0xFFFF
+
+
+# -- decoding at an offset -----------------------------------------------------
+
+def _outcome(decode, *args, **kwargs):
+    """A decode's result, or the type of the error it raised."""
+    try:
+        return decode(*args, **kwargs)
+    except HeaderError as exc:
+        return type(exc)
+
+
+_HEADERS = [
+    EthernetHeader(MacAddress(0x0200_0000_0001), MacAddress(0xAABB_CCDD_EEFF)),
+    Ipv4Header(src=0x0A000001, dst=0x0A000002, total_length=100, ttl=9),
+    UdpHeader(1234, 5678, 20, 0xBEEF),
+]
+_DECODERS = [
+    EthernetHeader.unpack,
+    Ipv4Header.unpack,
+    lambda raw, offset=0: Ipv4Header.unpack(raw, offset, verify=False),
+    UdpHeader.unpack,
+]
+
+
+@given(st.binary(max_size=48), st.sampled_from(range(len(_DECODERS))),
+       st.sampled_from(range(len(_HEADERS))), st.binary(max_size=24),
+       st.booleans())
+def test_unpack_at_offset_equals_unpack_of_the_slice(
+        prefix, decoder, header, suffix, packed):
+    decode = _DECODERS[decoder]
+    body = _HEADERS[header].pack() if packed else b""
+    raw = prefix + body + suffix
+    k = len(prefix)
+    assert _outcome(decode, raw, offset=k) == _outcome(decode, raw[k:])
+
+
+@pytest.mark.parametrize("header", _HEADERS, ids=lambda h: type(h).__name__)
+def test_unpack_truncated_after_the_offset_raises(header):
+    packed = header.pack()
+    prefix = b"\x45" * 64  # longer than any header on its own
+    for cut in range(len(packed)):
+        with pytest.raises(HeaderError):
+            type(header).unpack(prefix + packed[:cut], offset=len(prefix))
+    assert type(header).unpack(prefix + packed, offset=len(prefix)) == header
+
+
+# -- per-hop frame reads -------------------------------------------------------
+
+def _frame_bytes(src_ip=0x0A000001, dst_ip=0x0A000002, src_port=40_000,
+                 dst_port=7, payload=b"hello"):
+    return build_udp_frame(MacAddress(0x0200_0000_0001),
+                           MacAddress(0x0200_0000_0002), src_ip, dst_ip,
+                           src_port, dst_port, payload).data
+
+
+def test_frame_dst_mac_reads_the_ethernet_destination():
+    raw = _frame_bytes()
+    assert frame_dst_mac(raw) == EthernetHeader.unpack(raw).dst.value
+    with pytest.raises(HeaderError):
+        frame_dst_mac(raw[:EthernetHeader.SIZE - 1])
+
+
+def test_frame_flow_reads_the_four_tuple():
+    raw = _frame_bytes(0x0A000003, 0x0A000004, 40_001, 9)
+    assert frame_flow(raw) == (0x0A000003, 0x0A000004, 40_001, 9)
+    # the UDP header ends the shortest frame with a flow
+    assert frame_flow(raw[:42]) == frame_flow(raw)
+    assert frame_flow(raw[:41]) is None

@@ -1,8 +1,14 @@
 """Unit tests for the link and switch models."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.net import Link, MacAddress, SwitchFabric, build_udp_frame, ip_address
+from repro.net import (
+    ETHERTYPE_IPV4, EthernetHeader, Frame, HeaderError, Ipv4Header, Link,
+    MacAddress, SwitchFabric, UdpHeader, build_udp_frame, ip_address,
+)
+from repro.nic.rss import rss_hash
 from repro.sim import Simulator
 
 MAC_A = MacAddress.from_string("02:00:00:00:00:0a")
@@ -133,3 +139,65 @@ def test_switch_three_way():
     sim.process(receiver(MAC_C, "c"))
     sim.run()
     assert sorted(got) == ["b", "c"]
+
+
+# -- ECMP member choice ----------------------------------------------------------
+
+
+def _reference_flow_index(raw: bytes, n: int, salt: int) -> int:
+    """The ECMP choice as the fabric made it by decoding copied slices."""
+    try:
+        eth = EthernetHeader.unpack(raw)
+        if eth.ethertype != ETHERTYPE_IPV4:
+            return 0
+        ip = Ipv4Header.unpack(raw[EthernetHeader.SIZE:], verify=False)
+        udp = UdpHeader.unpack(raw[EthernetHeader.SIZE + Ipv4Header.SIZE:])
+    except (HeaderError, ValueError):
+        return 0
+    return (rss_hash(ip.src, ip.dst, udp.src_port, udp.dst_port) ^ salt) % n
+
+
+@given(
+    st.integers(0, 0xFFFFFFFF), st.integers(0, 0xFFFFFFFF),
+    st.integers(0, 0xFFFF), st.integers(0, 0xFFFF),
+    st.binary(max_size=16), st.integers(0, 1 << 16),
+    st.integers(2, 8), st.integers(-1, 60), st.integers(0, 255),
+    st.integers(0, 64),
+)
+def test_flow_index_equals_the_slice_decoding_choice(
+        src_ip, dst_ip, src_port, dst_port, payload, salt, n,
+        corrupt_at, corrupt_to, cut):
+    raw = bytearray(build_udp_frame(MAC_A, MAC_B, src_ip, dst_ip, src_port,
+                                    dst_port, payload).data)
+    if 0 <= corrupt_at < len(raw):
+        raw[corrupt_at] = corrupt_to   # ethertype, version/IHL, ports...
+    raw = bytes(raw[:len(raw) - cut] if cut else raw)
+    switch = SwitchFabric(Simulator())
+    switch.ecmp_salt = salt
+    assert (switch._flow_index(Frame(raw), n)
+            == _reference_flow_index(raw, n, salt))
+
+
+def test_flow_index_falls_back_to_member_zero():
+    switch = SwitchFabric(Simulator())
+    raw = frame().data
+    assert switch._flow_index(Frame(raw), 1 << 30) != 0
+    for index, value in ((12, 0x86), (14, 0x65), (14, 0x46)):
+        bad = bytearray(raw)
+        bad[index] = value   # IPv6 ethertype, IP version 6, IHL 6
+        assert switch._flow_index(Frame(bytes(bad)), 4) == 0
+    assert switch._flow_index(Frame(raw[:41]), 4) == 0
+
+
+def test_switch_rejects_a_truncated_frame():
+    sim = Simulator()
+    switch = SwitchFabric(sim)
+    port_a = switch.attach(MAC_A)
+    switch.attach(MAC_B)
+
+    def sender():
+        yield from port_a.send(Frame(frame().data[:EthernetHeader.SIZE - 1]))
+
+    sim.process(sender())
+    with pytest.raises(HeaderError):
+        sim.run()

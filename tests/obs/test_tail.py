@@ -5,6 +5,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecorder
 from repro.obs.tail import (
     STATE_PATTERNS,
+    metric_host,
     render_tail_report,
     slow_roots,
     slow_roots_by_group,
@@ -191,3 +192,52 @@ def test_untagged_report_has_no_origin_keys():
     assert "groups" not in report       # byte-identical to historical
     (record,) = report["requests"]
     assert "host" not in record and "tenant" not in record
+
+
+# -- the state join ------------------------------------------------------------
+
+
+def _reference_state(windows, patterns, host=None):
+    """The state join as a triple loop over window × name × pattern."""
+    samples = {}
+    for window in windows:
+        for name, value in window.values.items():
+            if any(pattern in name for pattern in patterns):
+                if host is not None:
+                    owner = metric_host(name)
+                    if owner is not None and owner != host:
+                        continue
+                samples.setdefault(name, []).append(value)
+    return {
+        name: {"min": min(values), "mean": sum(values) / len(values),
+               "max": max(values)}
+        for name, values in sorted(samples.items())
+    }
+
+
+def test_tail_report_accepts_one_shot_patterns():
+    recorder, sampler, _flight = _scene()
+    scenes = [(recorder, sampler, STATE_PATTERNS),
+              (*_tagged_scene(), ("runq",))]
+    for recorder, sampler, patterns in scenes:
+        expected = tail_report(recorder, sampler, quantile=0.5,
+                               patterns=patterns)
+        report = tail_report(recorder, sampler, quantile=0.5,
+                             patterns=iter(patterns))
+        assert len(report["requests"]) > 1
+        assert all(record["state"] for record in report["requests"])
+        assert report == expected
+
+
+def test_state_join_equals_the_triple_loop():
+    recorder, sampler = _tagged_scene()
+    for patterns in (STATE_PATTERNS, ("runq",), ("host1.",), ()):
+        report = tail_report(recorder, sampler, quantile=0.0,
+                             patterns=patterns)
+        assert {record["host"] for record in report["requests"]} == {
+            "host0", "host1"}
+        for record in report["requests"]:
+            windows = sampler.overlapping(record["start_ns"],
+                                          record["end_ns"])
+            assert record["state"] == _reference_state(
+                windows, patterns, record["host"])
