@@ -6,12 +6,14 @@ can do better, because every span's start and end are known exactly.
 span's **self time** — its duration minus the summed durations of its
 children — to the stack of span names leading to it, grouped by the
 ``(host, tenant)`` labels the Lauberhorn demux annotates onto root
-spans.  Arithmetic runs in exact rationals (:class:`~fractions.Fraction`
-over the recorded floats), so the folded profile's summed self time
-equals the summed root durations *identically* per group — the E25
-validator checks float equality of the two, which exact rationals
-guarantee by construction (floats are exact binary rationals; the
-telescoping sum has no rounding anywhere).
+spans.  Arithmetic is exact: every finite float is a whole multiple of
+2**-1074, so each recorded endpoint becomes an integer count of
+2**-1074 ns and weights are plain integers.  The folded profile's summed
+self time therefore equals the summed root durations *identically* per
+group — the E25 validator checks float equality of the two, which the
+integers guarantee by construction (the telescoping sum has no rounding
+anywhere).  Weights go back to float only at the edge, through integer
+true division, which rounds correctly.
 
 Two exporters ship the profile out of the repo's world:
 :func:`render_collapsed` emits Brendan-Gregg collapsed-stack text
@@ -32,7 +34,6 @@ artifacts — the profiler is a reporting tool only.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 from typing import Any, Iterable, Optional
 
 __all__ = ["FlameProfile", "fold_spans", "render_collapsed",
@@ -45,18 +46,35 @@ SPEEDSCOPE_SCHEMA = "https://www.speedscope.app/file-format-schema.json"
 #: (single-host, untenanted runs — the historical default)
 UNTAGGED = "-"
 
+#: one nanosecond in weight units: 2**-1074 (the smallest subnormal
+#: float) divides every finite float, so every recorded time is a whole
+#: number of units
+_NS = 1 << 1074
+
+
+def _units(ns: float) -> int:
+    """``ns`` as an exact integer count of 2**-1074 ns."""
+    numerator, denominator = ns.as_integer_ratio()
+    # denominator is 2**k with k <= 1074; scale by 2**(1074 - k)
+    return numerator << (1075 - denominator.bit_length())
+
+
+def _ns(units: int) -> float:
+    """Weight units back to float ns, correctly rounded."""
+    return units / _NS
+
 
 class FlameProfile:
     """Collapsed stacks per (host, tenant) group, exact to the span ns.
 
-    Weights are kept as :class:`~fractions.Fraction` internally;
+    Weights are kept as integer counts of 2**-1074 ns internally;
     :meth:`stacks` and the exporters round to float only at the edge.
     """
 
     def __init__(self, group_by: tuple[str, ...] = ("host", "tenant")):
         self.group_by = tuple(group_by)
-        self._stacks: dict[str, dict[tuple[str, ...], Fraction]] = {}
-        self._root_sum: dict[str, Fraction] = {}
+        self._stacks: dict[str, dict[tuple[str, ...], int]] = {}
+        self._root_sum: dict[str, int] = {}
         self._n_traces: dict[str, int] = {}
         self.negative_self = 0  # spans whose children overlap/overrun
 
@@ -66,15 +84,15 @@ class FlameProfile:
         return "/".join(
             str(fields.get(key, UNTAGGED)) for key in self.group_by)
 
-    def add_trace(self, group: str, root_duration: Fraction,
-                  stacks: Iterable[tuple[tuple[str, ...], Fraction]]) -> None:
+    def add_trace(self, group: str, root_duration: int,
+                  stacks: Iterable[tuple[tuple[str, ...], int]]) -> None:
+        """Add one trace; durations and weights in 2**-1074 ns units."""
         bucket = self._stacks.setdefault(group, {})
         for stack, weight in stacks:
-            bucket[stack] = bucket.get(stack, Fraction(0)) + weight
+            bucket[stack] = bucket.get(stack, 0) + weight
             if weight < 0:
                 self.negative_self += 1
-        self._root_sum[group] = (
-            self._root_sum.get(group, Fraction(0)) + root_duration)
+        self._root_sum[group] = self._root_sum.get(group, 0) + root_duration
         self._n_traces[group] = self._n_traces.get(group, 0) + 1
 
     # -- queries --------------------------------------------------------------
@@ -83,17 +101,17 @@ class FlameProfile:
         return sorted(self._stacks)
 
     def stacks(self, group: str) -> dict[tuple[str, ...], float]:
-        return {stack: float(weight)
+        return {stack: _ns(weight)
                 for stack, weight in self._stacks[group].items()}
 
     def n_traces(self, group: str) -> int:
         return self._n_traces.get(group, 0)
 
     def self_sum_ns(self, group: str) -> float:
-        return float(sum(self._stacks[group].values(), Fraction(0)))
+        return _ns(sum(self._stacks[group].values()))
 
     def root_sum_ns(self, group: str) -> float:
-        return float(self._root_sum.get(group, Fraction(0)))
+        return _ns(self._root_sum.get(group, 0))
 
     def check_exact(self) -> list[str]:
         """Groups whose folded self time != summed root durations.
@@ -103,12 +121,12 @@ class FlameProfile:
         """
         problems = []
         for group in self.groups():
-            folded = sum(self._stacks[group].values(), Fraction(0))
-            roots = self._root_sum.get(group, Fraction(0))
+            folded = sum(self._stacks[group].values())
+            roots = self._root_sum.get(group, 0)
             if folded != roots:
                 problems.append(
-                    f"group {group}: folded {float(folded)} ns != "
-                    f"root {float(roots)} ns")
+                    f"group {group}: folded {_ns(folded)} ns != "
+                    f"root {_ns(roots)} ns")
         return problems
 
     def as_dict(self) -> dict[str, Any]:
@@ -120,7 +138,7 @@ class FlameProfile:
                 "self_sum_ns": self.self_sum_ns(group),
                 "root_sum_ns": self.root_sum_ns(group),
                 "stacks": {
-                    ";".join(stack): float(weight)
+                    ";".join(stack): _ns(weight)
                     for stack, weight in sorted(self._stacks[group].items())
                 },
             }
@@ -150,27 +168,26 @@ def fold_spans(recorder, group_by: tuple[str, ...] = ("host", "tenant"),
             if span.parent_id is None:
                 root = span
                 break
-        if root is None or not root.finished:
+        if root is None or root.end_ns is None:
             continue
-        finished = [span for span in spans if span.finished]
         children: dict[int, list] = {}
-        for span in finished:
-            if span.parent_id is not None:
+        for span in spans:
+            if span.parent_id is not None and span.end_ns is not None:
                 children.setdefault(span.parent_id, []).append(span)
         group = profile.group_label(root.fields)
-        stacks: list[tuple[tuple[str, ...], Fraction]] = []
+        stacks: list[tuple[tuple[str, ...], int]] = []
 
-        def walk(span, path: tuple[str, ...]) -> None:
+        def walk(span, duration: int, path: tuple[str, ...]) -> None:
             stack = path + (span.name,)
-            self_ns = Fraction(span.end_ns) - Fraction(span.start_ns)
+            self_units = duration
             for child in children.get(span.span_id, ()):
-                self_ns -= (Fraction(child.end_ns)
-                            - Fraction(child.start_ns))
-                walk(child, stack)
-            stacks.append((stack, self_ns))
+                child_duration = _units(child.end_ns) - _units(child.start_ns)
+                self_units -= child_duration
+                walk(child, child_duration, stack)
+            stacks.append((stack, self_units))
 
-        walk(root, ())
-        root_duration = Fraction(root.end_ns) - Fraction(root.start_ns)
+        root_duration = _units(root.end_ns) - _units(root.start_ns)
+        walk(root, root_duration, ())
         profile.add_trace(group, root_duration, stacks)
     return profile
 
@@ -186,8 +203,7 @@ def diff_stacks(profile: FlameProfile, group_a: str, group_b: str,
     b = profile._stacks.get(group_b, {})
     out: dict[str, float] = {}
     for stack in sorted(set(a) | set(b)):
-        delta = a.get(stack, Fraction(0)) - b.get(stack, Fraction(0))
-        out[";".join(stack)] = float(delta)
+        out[";".join(stack)] = _ns(a.get(stack, 0) - b.get(stack, 0))
     return out
 
 
@@ -207,7 +223,7 @@ def render_collapsed(profile: FlameProfile,
         prefix = tuple(label.split("/"))
         for stack, weight in sorted(profile._stacks[label].items()):
             frames = ";".join(prefix + stack)
-            lines.append(f"{frames} {float(weight):.3f}")
+            lines.append(f"{frames} {_ns(weight):.3f}")
     return "\n".join(lines)
 
 
@@ -229,17 +245,17 @@ def speedscope_json(profile: FlameProfile,
     for group in profile.groups():
         samples: list[list[int]] = []
         weights: list[float] = []
-        total = Fraction(0)
+        total = 0
         for stack, weight in sorted(profile._stacks[group].items()):
             samples.append([frame_of(frame) for frame in stack])
-            weights.append(float(weight))
+            weights.append(_ns(weight))
             total += weight
         profiles.append({
             "type": "sampled",
             "name": group,
             "unit": "nanoseconds",
             "startValue": 0.0,
-            "endValue": float(total),
+            "endValue": _ns(total),
             "samples": samples,
             "weights": weights,
         })

@@ -55,28 +55,62 @@ def test_mesi_scan_catches_double_owner():
                for v in reg.violations)
 
 
+def _run(bed, gen):
+    proc = bed.sim.process(gen)
+    bed.sim.run(until=proc)
+
+
 def test_mesi_wrap_catches_illegal_transition():
     bed = build_lauberhorn_testbed()
     fabric = _home_some_lines(bed)
     reg = install_checks(bed)
     addr = next(iter(fabric._lines))
 
-    def run(gen):
-        proc = bed.sim.process(gen)
-        bed.sim.run(until=proc)
-
-    run(fabric.load(0, addr))   # I -> E (legal)
-    run(fabric.load(1, addr))   # demotes: both SHARED (legal)
+    _run(bed, fabric.load(0, addr))   # I -> E (legal)
+    _run(bed, fabric.load(1, addr))   # demotes: both SHARED (legal)
     assert not reg.violations
     # Forge S -> E behind the fabric's back; the next wrapped op on the
     # line observes the transition.
     fabric._lines[addr].holders[1] = LineState.EXCLUSIVE
-    run(fabric.load(0, addr))   # hit for core 0, but the wrap validates
-    assert any("illegal transition S->E" in v.detail
-               for v in reg.violations) or any(
-        "coexists" in v.detail or "multiple" in v.detail
+    _run(bed, fabric.load(0, addr))   # hit for core 0, but the wrap validates
+    assert any(
+        v.name == "mesi:transition"
+        and v.detail == (f"line {addr:#x}: core 1 made illegal "
+                         "transition S->E during load")
         for v in reg.violations
     )
+
+
+def test_mesi_wrap_catches_modified_to_exclusive():
+    bed = build_lauberhorn_testbed()
+    fabric = _home_some_lines(bed)
+    reg = install_checks(bed)
+    addr = next(iter(fabric._lines))
+
+    _run(bed, fabric.store(0, addr, b"\x01"))   # I -> M (legal)
+    assert not reg.violations
+    # A sole EXCLUSIVE holder breaks no per-line rule, so only the
+    # transition check can see this.
+    fabric._lines[addr].holders[0] = LineState.EXCLUSIVE
+    _run(bed, fabric.load(0, addr))              # hit; the wrap validates
+    assert [(v.name, v.detail) for v in reg.violations] == [(
+        "mesi:transition",
+        f"line {addr:#x}: core 0 made illegal transition M->E during load",
+    )]
+
+
+def test_mesi_wrap_sees_posted_write_invalidations():
+    bed = build_lauberhorn_testbed()
+    fabric = _home_some_lines(bed)
+    reg = install_checks(bed)
+    addr = next(iter(fabric._lines))
+
+    _run(bed, fabric.load(0, addr))
+    _run(bed, fabric.load(1, addr))   # both SHARED
+    _run(bed, fabric.posted_write(0, addr, b"\x01"))   # drops every holder
+    _run(bed, fabric.load(1, addr))   # I -> E, legal
+    assert fabric.holder_state(1, addr) is LineState.EXCLUSIVE
+    assert reg.violations == []
 
 
 def test_packet_conservation_catches_unaccounted_frames():

@@ -1,6 +1,11 @@
 """Flame folding: exactness, grouping, exporters, host-CPU profiler."""
 
+from fractions import Fraction
+from itertools import permutations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.flame import (
     HostCpuProfiler,
@@ -110,6 +115,138 @@ def test_diff_stacks_signs_and_keys():
     diff = diff_stacks(profile, "h/victim", "h/aggressor")
     assert diff["rpc;nic.rx"] == 70.0       # victim spent more in rx
     assert diff["rpc"] == (100.0 - 80.0) - (50.0 - 10.0)
+
+
+# -- against a rational reference fold ----------------------------------------
+
+
+def _reference_fold(recorder, group_by=("host", "tenant")):
+    """The fold in :class:`~fractions.Fraction` over the recorded floats.
+
+    Returns ``(stacks, roots, n_traces, negative_self)``: per group,
+    the self weight per stack in post-order, the summed root
+    durations and the trace count.
+    """
+    stacks: dict = {}
+    roots: dict = {}
+    n_traces: dict = {}
+    negative = 0
+    for spans in recorder.traces().values():
+        root = next((s for s in spans if s.parent_id is None), None)
+        if root is None or not root.finished:
+            continue
+        children: dict = {}
+        for span in spans:
+            if span.finished and span.parent_id is not None:
+                children.setdefault(span.parent_id, []).append(span)
+        group = "/".join(str(root.fields.get(key, "-")) for key in group_by)
+        bucket = stacks.setdefault(group, {})
+
+        def walk(span, path):
+            nonlocal negative
+            stack = path + (span.name,)
+            weight = Fraction(span.end_ns) - Fraction(span.start_ns)
+            for child in children.get(span.span_id, ()):
+                weight -= Fraction(child.end_ns) - Fraction(child.start_ns)
+                walk(child, stack)
+            bucket[stack] = bucket.get(stack, 0) + weight
+            negative += weight < 0
+
+        walk(root, ())
+        roots[group] = (roots.get(group, 0)
+                        + Fraction(root.end_ns) - Fraction(root.start_ns))
+        n_traces[group] = n_traces.get(group, 0) + 1
+    return stacks, roots, n_traces, negative
+
+
+#: endpoints that are not exact in decimal, span 15 orders of magnitude,
+#: sit at the bottom of the float range, or repeat one another
+AWKWARD_NS = (0.0, 5e-324, 1e-3, 0.1, 0.3, 1 / 3, 2.5, 1000.3, 123456.789,
+              1e12 / 7, 1e12, 1e12 + 0.5, 2.0 ** 40 + 0.25)
+_endpoint = st.one_of(
+    st.sampled_from(AWKWARD_NS),
+    st.floats(min_value=0.0, max_value=1e13,
+              allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _span_trees(draw):
+    """1-4 traces of 1-12 spans at most 4 deep, some left open.
+
+    Children draw their own endpoints, so they overlap, overrun and
+    even end before they start.
+    """
+    rec = _recorder()
+    for trace_id in range(1, draw(st.integers(1, 4)) + 1):
+        fields = draw(st.fixed_dictionaries({}, optional={
+            "host": st.sampled_from(("h0", "h1")),
+            "tenant": st.sampled_from(("victim", "aggressor")),
+        }))
+        spans = []      # (span, depth)
+        for i in range(draw(st.integers(1, 12))):
+            if i == 0:
+                parent, depth = None, 0
+            else:
+                parent_span, parent_depth = draw(st.sampled_from(
+                    [(s, d) for s, d in spans if d < 3]))
+                parent, depth = parent_span.span_id, parent_depth + 1
+            name = draw(st.sampled_from(("rpc", "nic.rx", "handler")))
+            ctx = (trace_id, parent)
+            if draw(st.integers(0, 9)) == 0:
+                span = rec.start(name, "nic", ctx)      # never finished
+            else:
+                span = rec.record(name, "nic", ctx, draw(_endpoint),
+                                  draw(_endpoint))
+            if i == 0:
+                span.fields.update(fields)
+            spans.append((span, depth))
+    return rec
+
+
+@settings(max_examples=300, deadline=None)
+@given(_span_trees())
+def test_fold_matches_rational_reference(rec):
+    profile = fold_spans(rec)
+    stacks, roots, n_traces, negative = _reference_fold(rec)
+    groups = sorted(stacks)
+    assert profile.groups() == groups
+    assert profile.check_exact() == []
+    assert profile.negative_self == negative
+    for group in groups:
+        assert list(profile.stacks(group).items()) == [
+            (stack, float(w)) for stack, w in stacks[group].items()]
+    assert profile.as_dict() == {
+        "group_by": ["host", "tenant"],
+        "negative_self": negative,
+        "groups": {group: {
+            "n_traces": n_traces[group],
+            "self_sum_ns": float(sum(stacks[group].values())),
+            "root_sum_ns": float(roots[group]),
+            "stacks": {";".join(stack): float(w)
+                       for stack, w in sorted(stacks[group].items())},
+        } for group in groups},
+    }
+    assert render_collapsed(profile) == "\n".join(
+        f"{';'.join(tuple(group.split('/')) + stack)} {float(w):.3f}"
+        for group in groups for stack, w in sorted(stacks[group].items()))
+    payload = speedscope_json(profile)
+    if groups:
+        validate_speedscope(payload)
+    names = [frame["name"] for frame in payload["shared"]["frames"]]
+    assert [(p["name"], p["endValue"], p["weights"],
+             [tuple(names[i] for i in sample) for sample in p["samples"]])
+            for p in payload["profiles"]] == [
+        (group, float(sum(stacks[group].values())),
+         [float(w) for _stack, w in sorted(stacks[group].items())],
+         sorted(stacks[group]))
+        for group in groups]
+    for a, b in permutations(groups, 2):
+        merged = sorted(set(stacks[a]) | set(stacks[b]))
+        assert diff_stacks(profile, a, b) == {
+            ";".join(stack): float(stacks[a].get(stack, 0)
+                                   - stacks[b].get(stack, 0))
+            for stack in merged}
 
 
 # -- exporters ----------------------------------------------------------------
