@@ -295,14 +295,12 @@ class CoherenceFabric:
         for holder in list(line.holders):
             del line.holders[holder]
             self.stats.invalidations += 1
-        transfer = self._transfer_ns()
 
-        def deliver():
-            yield self.sim.timeout(transfer)
+        def deliver(_event) -> None:
             self._merge(line, addr, data)
             line.home.on_writeback(self._line_addr(addr), bytes(line.data))
 
-        self.sim.process(deliver())
+        self.sim.timeout(self._transfer_ns()).add_callback(deliver)
         return None
         yield  # pragma: no cover - generator form for API symmetry
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..sim.clock import bytes_time_ns
-from ..sim.engine import Simulator
+from ..sim.engine import Simulator, Timeout
 from ..sim.resources import Store
 from .headers import MacAddress, frame_dst_mac, frame_flow
 from .packet import Frame
@@ -83,26 +83,31 @@ class Link:
     def serialization_ns(self, frame: Frame) -> float:
         return bytes_time_ns(frame.wire_bytes, self.bandwidth_bps)
 
-    def send(self, frame: Frame):
-        """Transmit ``frame``; generator returning once it is on the wire.
+    def send(self, frame: Frame) -> Timeout:
+        """Transmit ``frame``; returns the timer that fires once it is on
+        the wire (yield it to wait for that, or ignore it).
 
+        The transmitter is reserved now, so frames leave in call order.
         Delivery into the receiver's queue happens ``propagation_ns``
         after the last bit leaves.  Frames that arrive to a full queue
         are dropped (tail drop), which the stats record.
         """
-        start = max(self.sim.now, self._tx_free_at)
-        done = start + self.serialization_ns(frame)
+        sim = self.sim
+        now = sim.now
+        done = max(now, self._tx_free_at) + self.serialization_ns(frame)
         self._tx_free_at = done
-        yield self.sim.timeout(done - self.sim.now)
+        on_wire = sim.timeout(done - now)
+        on_wire.add_callback(lambda _event: self._on_wire(frame))
+        return on_wire
+
+    def _on_wire(self, frame: Frame) -> None:
         self.stats.frames += 1
         self.stats.bytes += frame.wire_bytes
-
         if self.fault is None:
-            self._spawn_delivery(frame, self.propagation_ns)
+            self._deliver_after(frame, self.propagation_ns)
         else:
             for fated, extra_ns in self.fault.fate(self, frame):
-                self._spawn_delivery(fated, self.propagation_ns + extra_ns)
-        return None
+                self._deliver_after(fated, self.propagation_ns + extra_ns)
 
     def count_drop(self, frame: Frame, reason: str) -> None:
         """Account one dropped frame and surface it to any observer."""
@@ -111,9 +116,8 @@ class Link:
         if self.on_drop is not None:
             self.on_drop(self, frame, reason)
 
-    def _spawn_delivery(self, frame: Frame, delay_ns: float) -> None:
-        def deliver():
-            yield self.sim.timeout(delay_ns)
+    def _deliver_after(self, frame: Frame, delay_ns: float) -> None:
+        def deliver(_event) -> None:
             if self.rx_queue.try_put(frame):
                 self.stats.delivered += 1
                 if self.on_deliver is not None:
@@ -121,7 +125,7 @@ class Link:
             else:
                 self.count_drop(frame, "queue-full")
 
-        self.sim.process(deliver())
+        self.sim.timeout(delay_ns).add_callback(deliver)
 
     def receive(self):
         """Generator yielding until a frame is available; returns it."""
@@ -154,10 +158,10 @@ class Port:
             name=f"{self.name}.out",
         )
 
-    def send(self, frame: Frame):
-        """Send into the fabric; generator."""
-        yield from self.ingress.send(frame)
-        return None
+    def send(self, frame: Frame) -> Timeout:
+        """Send into the fabric; returns the on-wire timer (see
+        :meth:`Link.send`)."""
+        return self.ingress.send(frame)
 
     def receive(self):
         """Receive from the fabric; generator returning a Frame."""
@@ -262,6 +266,7 @@ class SwitchFabric:
             if target is None:
                 self.unknown_dst_drops += 1
                 continue
-            # Egress serialisation runs in its own process so one slow
-            # output port does not head-of-line block the whole switch.
-            self.sim.process(target.egress.send(frame))
+            # Fire and forget: egress serialisation is timed by the
+            # output link, so one slow output port does not
+            # head-of-line block the whole switch.
+            target.egress.send(frame)

@@ -144,7 +144,7 @@ class Topology:
         def pump(src: Port, dst: Port):
             while True:
                 frame = yield from src.receive()
-                yield from dst.send(frame)
+                yield dst.send(frame)
 
         self.sim.process(pump(a, b), name=f"{name}-up")
         self.sim.process(pump(b, a), name=f"{name}-down")

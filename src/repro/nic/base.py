@@ -72,7 +72,7 @@ class BaseNic:
             frame = yield self._tx_engine.get()
             yield from self._tx_frame(frame)
             self.stats.tx_frames += 1
-            yield from self.port.send(frame)
+            yield self.port.send(frame)
             obs = self.obs
             if obs is not None:
                 ctx = frame.peek_meta("obs")

@@ -322,16 +322,12 @@ class LauberhornNic(BaseNic, HomeDevice):
             # AUX line (or stray): answer immediately from the home copy.
             event.succeed(FillResponse(data=b""))
             return event
-        parity = endpoint.parity_of(addr)
-        self.sim.process(
-            self._ctrl_fill_fsm(endpoint, core_id, parity, event),
-            name=f"{self.name}-fill-ep{endpoint.id}",
-        )
+        self._ctrl_fill_fsm(endpoint, core_id, endpoint.parity_of(addr), event)
         return event
 
     # -- the endpoint FSM ------------------------------------------------------------
 
-    def _ctrl_fill_fsm(self, ep: Endpoint, core_id: int, parity: int, event: Event):
+    def _ctrl_fill_fsm(self, ep: Endpoint, core_id: int, parity: int, event: Event) -> None:
         """React to a CPU load on CONTROL[parity] of ``ep``."""
         ep.stats.ctrl_loads += 1
         if self.tenants is not None:
@@ -349,37 +345,26 @@ class LauberhornNic(BaseNic, HomeDevice):
             self._begin_response_extraction(ep, inflight)
             if self.tenants is not None:
                 self._tenant_complete(inflight.request.service)
-        yield from self._arm(ep, core_id, parity, event)
-        return None
+        self._arm(ep, core_id, parity, event)
 
-    def _arm(self, ep: Endpoint, core_id: int, parity: int, event: Event):
+    def _arm(self, ep: Endpoint, core_id: int, parity: int, event: Event) -> None:
         """Either deliver a waiting request or park the fill."""
         if ep.parked is not None:
             # A second core raced onto this end-point (end-points are
             # single-consumer by design): bounce it with Tryagain rather
             # than stranding the first core's parked fill.
-            yield self.sim.timeout(self.params.compose_line_ns)
-            ep.stats.tryagains += 1
-            self.lstats.tryagains += 1
-            if self.tenants is not None:
-                self._charge_tryagain(ep)
-            if self.flight is not None:
-                self.flight.note("nic.tryagain", endpoint=ep.id, reason="race")
-            event.succeed(
-                FillResponse(data=wire.tryagain_line(self.line_bytes))
-            )
-            return None
+            compose = self.sim.timeout(self.params.compose_line_ns)
+            compose.add_callback(
+                lambda _event: self._answer_tryagain(ep, event, "race"))
+            return
         request = self._next_request_for(ep)
         if request is not None:
-            yield from self._deliver(ep, parity, event, request)
-            return None
+            self.sim.process(self._deliver(ep, parity, event, request),
+                             name=f"{self.name}-deliver-ep{ep.id}")
+            return
         ep.parked = (core_id, parity, event)
         ep.generation += 1
-        self.sim.process(
-            self._tryagain_timer(ep, ep.generation),
-            name=f"{self.name}-tryagain-ep{ep.id}",
-        )
-        return None
+        self._start_tryagain_timer(ep, ep.generation)
 
     def _next_request_for(self, ep: Endpoint) -> Optional[PendingRequest]:
         if self.tenants is not None:
@@ -453,22 +438,35 @@ class LauberhornNic(BaseNic, HomeDevice):
             raise ValueError(f"non-positive tryagain timeout: {value}")
         self.tryagain_timeout_ns = float(value)
 
-    def _tryagain_timer(self, ep: Endpoint, generation: int):
-        yield self.sim.timeout(self.tryagain_timeout_ns)
-        if ep.generation != generation or ep.parked is None:
-            return None
-        _core, _parity, event = ep.parked
-        ep.parked = None
-        ep.generation += 1
-        yield self.sim.timeout(self.params.compose_line_ns)
+    def _start_tryagain_timer(self, ep: Endpoint, generation: int) -> None:
+        """Bounce the fill parked at ``generation`` with Tryagain once
+        the park timeout passes.  A timer that outlives its park (a
+        delivery or preemption moved ``ep.generation`` on) fires and
+        does nothing.  It is not cancelled: a cancelled timer stays
+        queued as a tombstone that ``sim.pending_timers`` counts, and
+        the machine telemetry probes that count."""
+
+        def timed_out(_event) -> None:
+            if ep.generation != generation or ep.parked is None:
+                return
+            _core, _parity, event = ep.parked
+            ep.parked = None
+            ep.generation += 1
+            compose = self.sim.timeout(self.params.compose_line_ns)
+            compose.add_callback(
+                lambda _event: self._answer_tryagain(ep, event, "timeout"))
+
+        self.sim.timeout(self.tryagain_timeout_ns).add_callback(timed_out)
+
+    def _answer_tryagain(self, ep: Endpoint, event: Event, reason: str) -> None:
+        """Answer a fill on ``ep`` with the Tryagain line."""
         ep.stats.tryagains += 1
         self.lstats.tryagains += 1
         if self.tenants is not None:
             self._charge_tryagain(ep)
         if self.flight is not None:
-            self.flight.note("nic.tryagain", endpoint=ep.id, reason="timeout")
+            self.flight.note("nic.tryagain", endpoint=ep.id, reason=reason)
         event.succeed(FillResponse(data=wire.tryagain_line(self.line_bytes)))
-        return None
 
     def send_tryagain(self, ep: Endpoint) -> bool:
         """Immediately answer a parked fill with Tryagain (preemption
@@ -478,13 +476,7 @@ class LauberhornNic(BaseNic, HomeDevice):
         _core, _parity, event = ep.parked
         ep.parked = None
         ep.generation += 1
-        ep.stats.tryagains += 1
-        self.lstats.tryagains += 1
-        if self.tenants is not None:
-            self._charge_tryagain(ep)
-        if self.flight is not None:
-            self.flight.note("nic.tryagain", endpoint=ep.id, reason="preempt")
-        event.succeed(FillResponse(data=wire.tryagain_line(self.line_bytes)))
+        self._answer_tryagain(ep, event, "preempt")
         return True
 
     def retire(self, ep: Endpoint) -> bool:
@@ -645,13 +637,8 @@ class LauberhornNic(BaseNic, HomeDevice):
 
         def signal(core, thread):
             yield from core.busy_ns(30.0)
-            delay = self.machine.params.interconnect.one_way_ns
-
-            def arrive():
-                yield self.sim.timeout(delay)
-                self.completion_signal(ep)
-
-            self.sim.process(arrive())
+            arrive = self.sim.timeout(self.machine.params.interconnect.one_way_ns)
+            arrive.add_callback(lambda _event: self.completion_signal(ep))
             return None
 
         return ops.Call(signal)
@@ -1034,11 +1021,6 @@ class LauberhornNic(BaseNic, HomeDevice):
         writes the frame as lines; cheap, posted."""
         lines = math.ceil(len(frame.data) / self.line_bytes)
         yield from core.busy_ns(lines * 15.0)
-        delay = self.machine.params.interconnect.one_way_ns
-
-        def arrive():
-            yield self.sim.timeout(delay)
-            self.queue_tx(frame)
-
-        self.sim.process(arrive())
+        arrive = self.sim.timeout(self.machine.params.interconnect.one_way_ns)
+        arrive.add_callback(lambda _event: self.queue_tx(frame))
         return None

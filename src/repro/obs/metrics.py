@@ -66,23 +66,38 @@ class Gauge:
         return self.fn() if self.fn is not None else self._value
 
 
-def _numeric_fields(obj) -> dict[str, Any]:
-    """The int/float attributes of a stats object (dataclass or not)."""
+def _field_names(obj) -> Optional[tuple[str, ...]]:
+    """The non-underscore names :func:`_numeric_fields` reads on ``obj``:
+    its dataclass fields, or the ``__slots__`` declared anywhere in its
+    MRO.  None for a ``__dict__`` object, whose attribute set can differ
+    per instance and change over time, so it is walked on every read."""
     if dataclasses.is_dataclass(obj):
-        pairs = ((f.name, getattr(obj, f.name))
-                 for f in dataclasses.fields(obj))
+        names = [f.name for f in dataclasses.fields(obj)]
+    elif hasattr(obj, "__dict__"):
+        return None
     else:
-        try:
-            pairs = vars(obj).items()
-        except TypeError:
-            # __slots__ types have no __dict__; walk the slot names
-            # declared anywhere in the MRO instead.
-            pairs = ((name, getattr(obj, name))
-                     for klass in type(obj).__mro__
-                     for name in getattr(klass, "__slots__", ())
-                     if hasattr(obj, name))
-    return {name: value for name, value in pairs
-            if isinstance(value, (int, float)) and not name.startswith("_")}
+        names = [name for klass in type(obj).__mro__
+                 for name in getattr(klass, "__slots__", ())]
+    return tuple(name for name in names if not name.startswith("_"))
+
+
+def _numeric_fields(obj, memo: dict) -> dict[str, Any]:
+    """The int/float attributes of a stats object (dataclass or not).
+
+    ``memo`` maps a type to its :func:`_field_names`, resolved at the
+    type's first read rather than when it is bound, so binding adds
+    nothing to a run's set-up.
+    """
+    try:
+        names = memo[type(obj)]
+    except KeyError:
+        names = memo[type(obj)] = _field_names(obj)
+    if names is None:
+        return {name: value for name, value in vars(obj).items()
+                if isinstance(value, (int, float)) and not name.startswith("_")}
+    # An unset slot reads as None, which the type filter drops.
+    return {name: value for name in names
+            if isinstance(value := getattr(obj, name, None), (int, float))}
 
 
 class MetricsRegistry:
@@ -93,6 +108,8 @@ class MetricsRegistry:
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, LatencyRecorder] = {}
         self._probes: list[tuple[str, Callable[[], dict]]] = []
+        #: field names per bound type (see :func:`_numeric_fields`)
+        self._names_by_type: dict[type, Optional[tuple[str, ...]]] = {}
         #: key collisions detected by the most recent :meth:`snapshot`
         self.collisions = 0
 
@@ -135,17 +152,18 @@ class MetricsRegistry:
         ``repro.exp`` pool jobs.  Once the stats object is collected
         the probe contributes nothing.
         """
+        memo = self._names_by_type
         try:
             ref = weakref.ref(obj)
         except TypeError:
             # Not weak-referenceable (slots without __weakref__):
             # fall back to a strong reference.
-            self.probe(prefix, lambda obj=obj: _numeric_fields(obj))
+            self.probe(prefix, lambda obj=obj: _numeric_fields(obj, memo))
             return
 
         def read(ref=ref) -> dict:
             target = ref()
-            return _numeric_fields(target) if target is not None else {}
+            return _numeric_fields(target, memo) if target is not None else {}
 
         self.probe(prefix, read)
 

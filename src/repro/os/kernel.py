@@ -235,13 +235,12 @@ class Kernel:
         """Deliver an inter-processor interrupt after the IPI latency."""
         self.stats.ipis += 1
 
-        def arrive():
-            yield self.sim.timeout(self.costs.ipi_deliver_ns)
+        def arrive(_event) -> None:
             if resched:
                 self._need_resched[to_core] = True
             self.deliver_irq(to_core, Irq(name=name, handler=handler))
 
-        self.sim.process(arrive())
+        self.sim.timeout(self.costs.ipi_deliver_ns).add_callback(arrive)
 
     def preempt_core(self, core_id: int, name: str = "resched-ipi") -> None:
         """Ask ``core_id`` to reschedule as soon as it can take an IRQ."""
@@ -421,14 +420,8 @@ class Kernel:
         if isinstance(op, ops.MmioWrite):
             yield from self.machine.link.mmio_write(core)
             if op.on_device is not None:
-                delay = self.machine.link.posted_delay_ns()
-                callback = op.on_device
-
-                def landing():
-                    yield self.sim.timeout(delay)
-                    callback()
-
-                self.sim.process(landing())
+                landing = self.sim.timeout(self.machine.link.posted_delay_ns())
+                landing.add_callback(lambda _event: op.on_device())
             return "ran"
         if isinstance(op, ops.Call):
             result = yield from op.fn(core, thread)

@@ -14,7 +14,9 @@ third-party runtime dependencies:
 * :class:`Process` wraps a Python generator; each ``yield`` suspends the
   process until the yielded event fires.
 * :class:`Timeout` is an event that fires after a fixed delay; pending
-  timeouts can be :meth:`~Timeout.cancel`-ed.
+  timeouts can be :meth:`~Timeout.cancel`-ed.  A one-shot delayed action
+  is ``sim.timeout(delay).add_callback(fn)``: one timer event, where a
+  process spawned to wait once costs three (start, timer, completion).
 
 Hot-path layout (everything here is exercised millions of times per
 experiment):

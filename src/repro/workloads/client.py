@@ -119,7 +119,7 @@ class ClientNode:
             self._obs_roots[request_id] = root
         done = Event(self.sim)
         self._pending[request_id] = (self.sim.now, list(args), done)
-        self.sim.process(self.port.send(frame))
+        self.port.send(frame)
         if self.retry_timeout_ns is not None:
             self.sim.process(
                 self._retry_watchdog(request_id, frame),
@@ -139,7 +139,7 @@ class ClientNode:
             if request_id not in self._pending:
                 return None
             self.retries += 1
-            yield from self.port.send(frame)
+            yield self.port.send(frame)
         if request_id in self._pending:
             self.give_ups += 1
         return None

@@ -24,7 +24,7 @@ def _deliver_one(topology, frame, *, src_tor, dst_tor):
     arrivals = []
 
     def sender():
-        yield from a.send(frame)
+        yield a.send(frame)
 
     def receiver():
         got = yield from b.receive()
@@ -108,7 +108,7 @@ def test_ecmp_spreads_flows_over_parallel_trunks():
 
     def sender():
         for flow in range(32):
-            yield from a.send(_frame(src_port=40_000 + flow))
+            yield a.send(_frame(src_port=40_000 + flow))
 
     sim.process(sender())
     sim.run()
@@ -126,7 +126,7 @@ def test_trunk_choice_is_flow_affine():
 
     def sender():
         for _ in range(10):
-            yield from a.send(_frame(src_port=41_000))
+            yield a.send(_frame(src_port=41_000))
 
     sim.process(sender())
     sim.run()

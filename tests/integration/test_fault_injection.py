@@ -39,7 +39,7 @@ def raw_send(bed, payload, port=9000):
         client.mac, bed.server_mac, client.ip, bed.server_ip,
         40_000, port, payload, born_ns=bed.sim.now,
     )
-    bed.sim.process(client.port.send(frame))
+    client.port.send(frame)
 
 
 def test_garbage_frame_dropped_not_fatal():

@@ -28,7 +28,7 @@ def test_link_latency_is_serialization_plus_propagation():
     arrivals = []
 
     def sender():
-        yield from link.send(f)
+        yield link.send(f)
 
     def receiver():
         got = yield from link.receive()
@@ -48,8 +48,8 @@ def test_link_fifo_and_backpressure_serialization():
     order = []
 
     def sender():
-        yield from link.send(frame(payload=b"1" * 1000))
-        yield from link.send(frame(payload=b"2" * 1000))
+        yield link.send(frame(payload=b"1" * 1000))
+        yield link.send(frame(payload=b"2" * 1000))
 
     def receiver():
         for _ in range(2):
@@ -71,7 +71,7 @@ def test_link_queue_overflow_drops():
 
     def sender():
         for _ in range(5):
-            yield from link.send(frame())
+            yield link.send(frame())
 
     sim.process(sender())
     sim.run()
@@ -87,7 +87,7 @@ def test_switch_forwards_by_mac():
     got = []
 
     def sender():
-        yield from port_a.send(frame(src=MAC_A, dst=MAC_B))
+        yield port_a.send(frame(src=MAC_A, dst=MAC_B))
 
     def receiver():
         f = yield from port_b.receive()
@@ -105,7 +105,7 @@ def test_switch_drops_unknown_mac():
     port_a = switch.attach(MAC_A)
 
     def sender():
-        yield from port_a.send(frame(src=MAC_A, dst=MAC_C))
+        yield port_a.send(frame(src=MAC_A, dst=MAC_C))
 
     sim.process(sender())
     sim.run(until=1_000_000)
@@ -127,7 +127,7 @@ def test_switch_three_way():
     got = []
 
     def sender(src, dst):
-        yield from ports[src.value].send(frame(src=src, dst=dst))
+        yield ports[src.value].send(frame(src=src, dst=dst))
 
     def receiver(mac, tag):
         f = yield from ports[mac.value].receive()
@@ -139,6 +139,80 @@ def test_switch_three_way():
     sim.process(receiver(MAC_C, "c"))
     sim.run()
     assert sorted(got) == ["b", "c"]
+
+
+# -- timing of the callback-driven wire -------------------------------------------
+
+
+def test_back_to_back_frames_cross_a_switch_in_order_at_the_hop_sum():
+    sim = Simulator()
+    # Switching faster than serialisation: neither the forwarding loop
+    # nor the egress link ever queues a frame behind the one before.
+    switch = SwitchFabric(sim, port_latency_ns=250.0, switching_ns=50.0)
+    port_a = switch.attach(MAC_A)
+    port_b = switch.attach(MAC_B)
+    frames = [frame(payload=bytes([tag]) * 1000) for tag in b"wxyz"]
+    ser = port_a.ingress.serialization_ns(frames[0])
+    assert ser > switch.switching_ns
+    for f in frames:
+        port_a.send(f)   # fire and forget: the transmitter is reserved now
+    arrivals = []
+
+    def receiver():
+        for _ in frames:
+            got = yield from port_b.receive()
+            arrivals.append((sim.now, got))
+
+    sim.process(receiver())
+    sim.run()
+    assert [got for _t, got in arrivals] == frames
+    for index, (t, _got) in enumerate(arrivals):
+        on_wire = (index + 1) * ser           # back to back on the ingress
+        expected = (on_wire + switch.port_latency_ns + switch.switching_ns
+                    + ser + switch.port_latency_ns)
+        assert t == pytest.approx(expected, abs=1e-6)
+
+
+def test_fault_copies_land_at_propagation_plus_their_extra_delay():
+    from repro.faults import FaultPlan, InjectionStats, install_link_faults
+
+    sim = Simulator()
+    link = Link(sim, propagation_ns=500.0, name="l")
+    plan = FaultPlan.from_spec("reorder=1,dup=1,reorder_ns=700")
+    install_link_faults(link, plan, InjectionStats(), "l")
+    landed = []
+    link.on_deliver = lambda _link, got: landed.append((sim.now, got))
+    f = frame()
+    sim.run(until=link.send(f))
+    wire_ns = sim.now
+    assert link.stats.in_flight() == 2   # the frame and its duplicate
+    sim.run()
+    assert link.stats.fault_duplicated == 1
+    assert landed == [(wire_ns + 500.0 + 700.0, f)] * 2
+    assert link.stats.delivered == 2
+    assert link.stats.in_flight() == 0
+
+
+def test_queue_full_drop_is_counted_at_delivery_time():
+    sim = Simulator()
+    link = Link(sim, propagation_ns=5_000.0, queue_frames=1, name="l")
+    drops = []
+    link.on_drop = lambda _link, _frame, reason: drops.append((sim.now, reason))
+    link.send(frame())
+    sim.run()
+    assert len(link.rx_queue) == 1   # nobody reads: the queue is full
+
+    sim.run(until=link.send(frame(payload=b"y" * 200)))
+    wire_ns = sim.now
+    landing_ns = wire_ns + link.propagation_ns
+    assert link.stats.in_flight() == 1
+    sim.run(until=landing_ns - 1.0)
+    assert link.stats.in_flight() == 1
+    assert drops == []
+    sim.run(until=landing_ns)
+    assert drops == [(landing_ns, "queue-full")]
+    assert link.stats.dropped == 1
+    assert link.stats.in_flight() == 0
 
 
 # -- ECMP member choice ----------------------------------------------------------
@@ -196,7 +270,7 @@ def test_switch_rejects_a_truncated_frame():
     switch.attach(MAC_B)
 
     def sender():
-        yield from port_a.send(Frame(frame().data[:EthernetHeader.SIZE - 1]))
+        yield port_a.send(Frame(frame().data[:EthernetHeader.SIZE - 1]))
 
     sim.process(sender())
     with pytest.raises(HeaderError):

@@ -18,8 +18,7 @@ def _frame(payload=b"x" * 100):
 
 
 def _send(sim, link, frame):
-    proc = sim.process(link.send(frame))
-    sim.run(until=proc)
+    sim.run(until=link.send(frame))
 
 
 def test_delivered_frames_are_counted():

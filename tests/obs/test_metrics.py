@@ -222,3 +222,82 @@ def test_reset_drops_every_instrument_and_probe():
     assert registry.collisions == 0
     # Fresh instruments after reset start from zero.
     assert registry.counter("c").value == 0
+
+
+# -- cached field walk ------------------------------------------------------------
+
+
+def _uncached_numeric_fields(obj):
+    """The registry's field walk before field names were cached per type."""
+    import dataclasses
+
+    if dataclasses.is_dataclass(obj):
+        pairs = ((f.name, getattr(obj, f.name))
+                 for f in dataclasses.fields(obj))
+    else:
+        try:
+            pairs = vars(obj).items()
+        except TypeError:
+            pairs = ((name, getattr(obj, name))
+                     for klass in type(obj).__mro__
+                     for name in getattr(klass, "__slots__", ())
+                     if hasattr(obj, name))
+    return {name: value for name, value in pairs
+            if isinstance(value, (int, float)) and not name.startswith("_")}
+
+
+@dataclass
+class _DataStats:
+    rx: int = 0
+    maybe: object = None
+    ratio: float = 0.5
+    label: str = "ignored"
+    _hidden: int = 3
+
+
+class _DictStats:
+    def __init__(self):
+        self.rx = 0
+        self.maybe = None
+        self.label = "ignored"
+        self._hidden = 3
+
+
+class _SlotBase:
+    __slots__ = ("base",)
+
+    def __init__(self):
+        self.base = 1.5
+
+
+class _SlotStats(_SlotBase):
+    __slots__ = ("rx", "maybe", "unset", "_hidden")
+
+    def __init__(self):
+        super().__init__()
+        self.rx = 0
+        self.maybe = None
+        self._hidden = 3
+
+
+def test_memoised_field_names_read_like_the_uncached_reference():
+    """The registry resolves a bound type's field names once; every
+    snapshot must still equal a full field walk, in the same order."""
+    stats = [_DataStats(), _DictStats(), _SlotStats(), _DataStats()]
+    registry = MetricsRegistry()
+    for index, obj in enumerate(stats):
+        registry.bind(f"s{index}", obj)
+    for step, maybe in enumerate((None, 7, None, 0, 2.5, None)):
+        for index, obj in enumerate(stats):
+            obj.rx = 10 * step + index
+            obj.maybe = maybe
+        if step == 3:
+            stats[1].late = 11          # __dict__ objects may grow
+            stats[2].unset = 4          # a slot filled after binding
+        expected = [(f"s{index}.{name}", value)
+                    for index, obj in enumerate(stats)
+                    for name, value in _uncached_numeric_fields(obj).items()]
+        assert list(registry.snapshot().items()) == expected
+    keys = [key for key, _value in expected]
+    assert "s1.late" in keys and "s2.unset" in keys
+    assert "s0.maybe" not in keys and "s2._hidden" not in keys

@@ -78,7 +78,7 @@ def test_client_counts_unmatched_and_garbage():
     switch_port = bed.switch.ports[bed.server_mac.value]
 
     def send():
-        yield from switch_port.send(frame)
+        yield switch_port.send(frame)
 
     bed.sim.process(send())
     bed.machine.run(until=5 * MS)
@@ -88,7 +88,7 @@ def test_client_counts_unmatched_and_garbage():
     garbage = Frame(b"\x00" * 40)
 
     def send_garbage():
-        yield from switch_port.send(
+        yield switch_port.send(
             build_udp_frame(bed.server_mac, client.mac, bed.server_ip,
                             client.ip, 1, 2, b"not-an-rpc")
         )

@@ -91,7 +91,7 @@ def test_parse_error_counted():
     )
     corrupted = bytearray(good.data)
     corrupted[20] ^= 0xFF  # break the IP header checksum
-    bed.sim.process(client.port.send(Frame(bytes(corrupted))))
+    client.port.send(Frame(bytes(corrupted)))
     bed.machine.run(until=10 * MS)
     assert bed.netstack.rx_parse_errors == 1
 

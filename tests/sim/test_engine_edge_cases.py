@@ -170,6 +170,32 @@ def test_cancelled_timeout_never_fires():
     assert sim.now == 510  # the dead timer did not hold the clock
 
 
+def test_exception_in_timed_callback_propagates_out_of_run():
+    """A one-shot ``sim.timeout(d).add_callback(fn)`` that raises fails
+    the run at its instant, as a failed process nobody waits on does."""
+    sim = Simulator()
+    later = []
+
+    def boom(_event):
+        raise RuntimeError("callback failed")
+
+    sim.timeout(10).add_callback(boom)
+    sim.timeout(20).add_callback(later.append)
+    with pytest.raises(RuntimeError, match="callback failed"):
+        sim.run()
+    assert sim.now == 10
+    assert later == []
+
+    def orphan():
+        yield sim.timeout(5)
+        raise RuntimeError("process failed")
+
+    sim.process(orphan())
+    with pytest.raises(RuntimeError, match="process failed"):
+        sim.run()
+    assert sim.now == 15
+
+
 def test_cancel_after_fire_is_noop():
     sim = Simulator()
     timer = sim.timeout(5)

@@ -5,10 +5,13 @@ Runs every deterministic experiment at the default root seed and pins
 its structured results: E1-E18 as full JSON files
 (``tests/golden/<name>.json``), E19-E23 and the E24/E25 smoke artifacts
 as SHA-256 digests (``tests/golden/hashes.json``, volatile wall-clock
-fields stripped — see :mod:`repro.exp.golden`).  The tier-1 tests
-(``tests/golden/test_golden.py``, ``tests/experiments/test_e24.py`` and
-``test_e25.py``) re-run the experiments and compare against these pins,
-so regenerate (``make regen-golden``) whenever an
+fields stripped — see :mod:`repro.exp.golden`).  The same file pins the
+output digest of each end-to-end benchmark workload
+(``perfbench/scenarios.py``) at seed 1 as ``perfbench.<workload>``.
+The tier-1 tests (``tests/golden/test_golden.py``,
+``test_perfbench_pins.py``, ``tests/experiments/test_e24.py`` and
+``test_e25.py``) re-run the experiments and workloads and compare
+against these pins, so regenerate (``make regen-golden``) whenever an
 intentional behaviour change shifts the numbers — and eyeball the git
 diff to confirm the shift is the one you meant to make.
 
@@ -16,7 +19,8 @@ Usage::
 
     python tools/regen_golden.py            # all of e1..e18
     python tools/regen_golden.py e5 e11     # a subset
-    python tools/regen_golden.py --hashes   # re-pin e19..e23 + smoke digests
+    python tools/regen_golden.py --hashes   # re-pin e19..e23, smoke and
+                                            # perfbench digests
 """
 
 from __future__ import annotations
@@ -31,10 +35,12 @@ from contextlib import redirect_stdout
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
+sys.path.insert(0, str(REPO / "perfbench"))
 
 from repro.exp.golden import HASHED_EXPERIMENTS, golden_digest  # noqa: E402
 from repro.exp.jobs import run_experiments  # noqa: E402
 from repro.experiments import e24_tenancy, e25_slo  # noqa: E402
+from scenarios import WORKLOADS as PERFBENCH_WORKLOADS  # noqa: E402
 
 GOLDEN_DIR = REPO / "tests" / "golden"
 GOLDEN_EXPERIMENTS = tuple(f"e{i}" for i in range(1, 19))
@@ -44,6 +50,8 @@ SMOKE_RUNS = {
     "e24_smoke": (e24_tenancy.run_tenancy, e24_tenancy.write_tenancy_artifact),
     "e25_smoke": (e25_slo.run_slo, e25_slo.write_slo_artifact),
 }
+#: the seed the perfbench workload pins are recorded at
+PERFBENCH_SEED = 1
 
 
 def regenerate(names: list[str]) -> int:
@@ -93,6 +101,8 @@ def regenerate_hashes() -> int:
         for name in HASHED_EXPERIMENTS
     }
     pins.update(smoke_pins)
+    for name, workload in PERFBENCH_WORKLOADS.items():
+        pins[f"perfbench.{name}"] = workload(PERFBENCH_SEED)().digest()
     path = GOLDEN_DIR / "hashes.json"
     path.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path.relative_to(REPO)}")
