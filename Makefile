@@ -16,7 +16,7 @@
 #                      (run with --update via bench-engine to re-record)
 #   bench-runall       serial-vs-parallel + cold-vs-warm-cache wall clock
 #                      for the experiment runner -> BENCH_runall.json
-#   run-all            all 24 experiments, serial (bit-for-bit the
+#   run-all            all 25 experiments, serial (bit-for-bit the
 #                      historical output)
 #   run-all-par        the same artifact fanned out over REPRO_JOBS
 #                      workers (default 4); tables are identical

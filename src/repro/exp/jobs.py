@@ -1,17 +1,18 @@
 """The job registry: every experiment as independently schedulable jobs.
 
 Monolithic experiments (a single ``run_*`` body that prints its own
-tables) map to one job per printed section; sweep experiments map to
-one job per sweep *point* — each (stack, rate) of the load sweep, each
-(size, delivery mode) of the DMA crossover, each stack of the design
-space — so a multi-core host can fan the whole artifact out, and the
-cache can invalidate single points.
+tables) map to one job per printed section.  Sweep experiments map to
+one job per point of the ``GRID`` their module declares
+(:class:`repro.experiments.grid.Grid`): each (stack, rate) of the load
+sweep, each (size, delivery mode) of the DMA crossover, each stack of
+the design space.  A multi-core host can therefore fan the whole
+artifact out, and the cache can invalidate single points.
 
 Every job is a pure function of its params + seed (fresh testbed per
 point), so execution order and worker placement never change results.
-``run_experiments`` reassembles point values into exactly the tables
-the serial ``run_*`` functions print: the renderers are shared code,
-so ``--jobs N`` output is byte-identical to the serial runner's.
+``run_experiments`` hands the point values back to each grid's
+``assemble``, which prints the tables, so ``--jobs N`` output is
+byte-identical to ``--jobs 1``.
 """
 
 from __future__ import annotations
@@ -23,19 +24,11 @@ from dataclasses import dataclass, field
 from io import StringIO
 from typing import Any, Callable, Optional
 
-from ..experiments import crossover as _crossover
-from ..experiments import dynamic_mix as _dynamic_mix
-from ..experiments import e21_timeline as _timeline
-from ..experiments import e22_control as _control
-from ..experiments import e23_fleet as _fleet
-from ..experiments import e24_tenancy as _tenancy
-from ..experiments import e25_slo as _slo
-from ..experiments import fault_sweep as _fault_sweep
-from ..experiments import four_stacks as _four_stacks
-from ..experiments import load_sweep as _load_sweep
-from ..experiments import obs_attribution as _obs
-from ..experiments import sensitivity as _sensitivity
-from ..experiments import serverless as _serverless
+from ..experiments import (crossover, dynamic_mix, e21_timeline,
+                           e22_control, e23_fleet, e24_tenancy, e25_slo,
+                           fault_sweep, four_stacks, load_sweep,
+                           obs_attribution, sensitivity, serverless)
+from ..experiments.grid import Grid
 from ..sim.rng import derive_seed
 from .pool import JobResult, JobSpec, execute_job, jsonable, run_jobs
 
@@ -43,15 +36,6 @@ __all__ = ["ExperimentSpec", "EXPERIMENT_SPECS", "RunOutcome",
            "run_experiments"]
 
 _EXP = "repro.experiments"
-
-# Sweep axes mirror the serial runners' defaults exactly.
-_MIX_COUNTS = (2, 8, 32)
-_MIX_STACKS = ("linux", "bypass", "lauberhorn")
-_CROSSOVER_SIZES = _crossover.DEFAULT_SIZES
-_SWEEP_STACKS = ("linux", "bypass", "lauberhorn")
-_SWEEP_RATES = (50e3, 150e3, 300e3, 600e3)
-_SERVERLESS_STACKS = ("linux", "lauberhorn")
-_SENSITIVITY_SWEEP = (125, 250, 350, 500, 700, 1000, 1400)
 
 
 @dataclass(frozen=True)
@@ -61,10 +45,12 @@ class ExperimentSpec:
     name: str
     title: str
     build_jobs: Callable[[int], list[JobSpec]]
-    #: points experiments only: values-in-job-order -> final value
-    #: (printing the tables to stdout); monolithic experiments return
-    #: their jobs' values directly and their stdout is replayed.
-    assemble: Optional[Callable[[list[Any]], Any]] = None
+    #: sweep experiments only: (values in job order, smoke) -> final
+    #: value (printing the tables to stdout); monolithic experiments
+    #: return their jobs' values directly and their stdout is replayed.
+    assemble: Optional[Callable[[list[Any], bool], Any]] = None
+    #: the job ids a smoke run keeps (None: every job)
+    smoke: Optional[frozenset[str]] = None
 
 
 def _mono(name: str, title: str, parts: list[tuple[str, str]]) -> ExperimentSpec:
@@ -79,311 +65,40 @@ def _mono(name: str, title: str, parts: list[tuple[str, str]]) -> ExperimentSpec
     return ExperimentSpec(name=name, title=title, build_jobs=build_jobs)
 
 
-def _point_seed(root_seed: int, name: str, job_id: str,
-                default: int = 0) -> int:
-    """Seed for a seed-accepting point job.
+def _sweep(grid: Grid) -> ExperimentSpec:
+    """A sweep experiment: one silent job per point of its ``GRID``."""
 
-    Root seed 0 (the default) reproduces the serial runners' built-in
-    seeds bit-for-bit; any other root derives an independent per-job
-    seed, stable across workers and execution order.
-    """
-    return default if root_seed == 0 else derive_seed(root_seed, name, job_id)
-
-
-def _seeded_spec(job_id: str, experiment: str, fn: str, seed: int,
-                 **params: Any) -> JobSpec:
-    """A point job whose function takes an explicit ``seed`` kwarg."""
-    params["seed"] = seed
-    return JobSpec(
-        job_id=job_id,
-        experiment=experiment,
-        fn=fn,
-        params=tuple(sorted(params.items())),
-        seed=seed,
-        capture=False,
-    )
-
-
-def _dynamic_mix_jobs(root_seed: int) -> list[JobSpec]:
-    return [
-        _seeded_spec(
-            f"e4/{stack}@{count}", "e4",
-            f"{_EXP}.dynamic_mix:measure_mix_point",
-            _point_seed(root_seed, "e4", f"{stack}@{count}"),
-            stack=stack, n_services=count,
-        )
-        for count in _MIX_COUNTS
-        for stack in _MIX_STACKS
-    ]
-
-
-def _assemble_dynamic_mix(values: list[Any]) -> Any:
-    results = [_dynamic_mix.MixResult(**v) for v in values]
-    _dynamic_mix.render_dynamic_mix(results)
-    return jsonable(results)
-
-
-def _crossover_jobs(root_seed: int) -> list[JobSpec]:
-    jobs = []
-    for size in _CROSSOVER_SIZES:
-        for mode, force_dma in (("line", False), ("dma", True)):
-            jobs.append(JobSpec.make(
-                f"e5/{mode}@{size}", "e5",
-                f"{_EXP}.crossover:measure_rtt_for_size",
+    def build_jobs(root_seed: int) -> list[JobSpec]:
+        jobs = []
+        for key, fn, kwargs in grid.points:
+            params = dict(kwargs)
+            seed = None
+            if grid.seeded:
+                # Root seed 0 reproduces the point functions' built-in
+                # seed; any other root derives an independent per-point
+                # seed, stable across workers and execution order.
+                seed = (0 if root_seed == 0
+                        else derive_seed(root_seed, grid.name, key))
+                params["seed"] = seed
+            jobs.append(JobSpec(
+                job_id=f"{grid.name}/{key}",
+                experiment=grid.name,
+                fn=f"{_EXP}.{fn}",
+                params=tuple(sorted(params.items())),
+                seed=seed,
                 capture=False,
-                payload_bytes=size, force_dma=force_dma,
             ))
-    return jobs
+        return jobs
 
+    def assemble(values: list[Any], smoke: bool) -> Any:
+        return jsonable(grid.assemble(values, smoke))
 
-def _assemble_crossover(values: list[Any]) -> Any:
-    points, cross = _crossover.assemble_crossover(
-        _CROSSOVER_SIZES, values[0::2], values[1::2]
-    )
-    _crossover.render_crossover(points, cross)
-    return jsonable((points, cross))
-
-
-def _four_stacks_jobs(root_seed: int) -> list[JobSpec]:
-    return [
-        JobSpec.make(
-            f"e11/{stack}", "e11", f"{_EXP}.four_stacks:measure_stack",
-            capture=False, stack=stack,
-        )
-        for stack in _four_stacks.STACKS
-    ]
-
-
-def _assemble_four_stacks(values: list[Any]) -> Any:
-    results = [_four_stacks.StackResult(**v) for v in values]
-    _four_stacks.render_four_stacks(results)
-    return jsonable(results)
-
-
-def _load_sweep_jobs(root_seed: int) -> list[JobSpec]:
-    return [
-        JobSpec.make(
-            f"e15/{stack}@{rate:.0f}", "e15",
-            f"{_EXP}.load_sweep:measure_load_point",
-            capture=False, stack=stack, rate_per_sec=rate,
-        )
-        for stack in _SWEEP_STACKS
-        for rate in _SWEEP_RATES
-    ]
-
-
-def _assemble_load_sweep(values: list[Any]) -> Any:
-    results = [_load_sweep.LoadPoint(**v) for v in values]
-    _load_sweep.render_load_sweep(results)
-    return jsonable(results)
-
-
-def _serverless_jobs(root_seed: int) -> list[JobSpec]:
-    return [
-        _seeded_spec(
-            f"e17/{stack}", "e17",
-            f"{_EXP}.serverless:measure_serverless_stack",
-            _point_seed(root_seed, "e17", stack),
-            stack=stack,
-        )
-        for stack in _SERVERLESS_STACKS
-    ]
-
-
-def _assemble_serverless(values: list[Any]) -> Any:
-    results = [_serverless.ServerlessResult(**v) for v in values]
-    _serverless.render_serverless(results)
-    return jsonable(results)
-
-
-def _fault_sweep_jobs(root_seed: int) -> list[JobSpec]:
-    return [
-        _seeded_spec(
-            f"e19/{stack}@{label}", "e19",
-            f"{_EXP}.fault_sweep:measure_fault_point",
-            _point_seed(root_seed, "e19", f"{stack}@{label}"),
-            stack=stack, label=label, loss_rate=loss, stall_rate=stall,
-        )
-        for stack in _four_stacks.STACKS
-        for (label, loss, stall) in _fault_sweep.FAULT_POINTS
-    ]
-
-
-def _assemble_fault_sweep(values: list[Any]) -> Any:
-    results = [_fault_sweep.FaultPoint(**v) for v in values]
-    _fault_sweep.render_fault_sweep(results)
-    return jsonable(results)
-
-
-def _sensitivity_jobs(root_seed: int) -> list[JobSpec]:
-    jobs = [JobSpec.make(
-        "e18/bypass", "e18", f"{_EXP}.sensitivity:bypass_baseline_rtt",
-        capture=False,
-    )]
-    jobs += [
-        JobSpec.make(
-            f"e18/lauberhorn@{one_way}", "e18",
-            f"{_EXP}.sensitivity:lauberhorn_rtt_at",
-            capture=False, one_way_ns=float(one_way),
-        )
-        for one_way in _SENSITIVITY_SWEEP
-    ]
-    return jobs
-
-
-def _assemble_sensitivity(values: list[Any]) -> Any:
-    points, break_even = _sensitivity.assemble_sensitivity(
-        _SENSITIVITY_SWEEP, values[1:], values[0]
-    )
-    _sensitivity.render_sensitivity(points, break_even)
-    return jsonable((points, break_even))
-
-
-def _obs_jobs(root_seed: int) -> list[JobSpec]:
-    return [
-        JobSpec.make(
-            f"e20/{stack}", "e20",
-            f"{_EXP}.obs_attribution:measure_obs_stack",
-            capture=False, stack=stack,
-        )
-        for stack in _four_stacks.STACKS
-    ]
-
-
-def _assemble_obs(values: list[Any]) -> Any:
-    results = [_obs.ObsResult(**v) for v in values]
-    _obs.render_obs_attribution(results)
-    payload = _obs.write_trace_artifact(results)
-    print(f"\n[wrote {_obs.TRACE_ARTIFACT}: "
-          f"{len(payload['traceEvents'])} trace events]")
-    return jsonable(results)
-
-
-def _timeline_jobs(root_seed: int) -> list[JobSpec]:
-    return [
-        _seeded_spec(
-            f"e21/{stack}", "e21",
-            f"{_EXP}.e21_timeline:measure_timeline_stack",
-            _point_seed(root_seed, "e21", stack),
-            stack=stack,
-        )
-        for stack in _four_stacks.STACKS
-    ]
-
-
-def _assemble_timeline(values: list[Any]) -> Any:
-    results = [_timeline.TimelineResult(**v) for v in values]
-    _timeline.render_timeline(results)
-    payload = _timeline.write_timeline_artifact(results)
-    _timeline.validate_timeline_payload(payload)
-    print(f"\n[wrote {_timeline.TIMELINE_ARTIFACT}: "
-          f"{len(payload['stacks'])} stacks]")
-    return jsonable(results)
-
-
-def _control_jobs(root_seed: int) -> list[JobSpec]:
-    jobs = [
-        _seeded_spec(
-            f"e22/{stack}@{plan}@{policy}", "e22",
-            f"{_EXP}.e22_control:measure_control_cell",
-            _point_seed(root_seed, "e22", f"{stack}@{plan}@{policy}"),
-            stack=stack, plan_label=plan, policy=policy,
-        )
-        for stack in _four_stacks.STACKS
-        for plan in _control.FAULT_PLANS
-        for policy in _control.POLICY_SPECS
-    ]
-    jobs.append(_seeded_spec(
-        "e22/adaptive", "e22",
-        f"{_EXP}.e22_control:measure_adaptive_mix",
-        _point_seed(root_seed, "e22", "adaptive"),
-    ))
-    return jobs
-
-
-def _assemble_control(values: list[Any]) -> Any:
-    *cell_values, adaptive = values
-    cells = [_control.ControlCell(**v) for v in cell_values]
-    _control.render_control(cells, adaptive)
-    payload = _control.write_control_artifact(cells, adaptive)
-    _control.validate_control_payload(payload)
-    print(f"\n[wrote {_control.CONTROL_ARTIFACT}: "
-          f"{len(payload['cells'])} cells]")
-    return jsonable({"cells": cells, "adaptive": adaptive})
-
-
-def _fleet_jobs(root_seed: int) -> list[JobSpec]:
-    return [
-        _seeded_spec(
-            f"e23/{section}@{label}", "e23",
-            f"{_EXP}.e23_fleet:measure_fleet_cell",
-            _point_seed(root_seed, "e23", f"{section}@{label}"),
-            section=section, label=label,
-        )
-        for section in _fleet.SECTIONS
-        for label in _fleet.cell_labels(section)
-    ]
-
-
-def _assemble_fleet(values: list[Any]) -> Any:
-    cells = [_fleet.FleetCell(**v) for v in values]
-    _fleet.render_fleet(cells)
-    payload = _fleet.write_fleet_artifact(cells)
-    _fleet.validate_fleet_payload(payload)
-    print(f"[wrote {_fleet.FLEET_ARTIFACT}: {len(payload['cells'])} cells]")
-    return jsonable(cells)
-
-
-def _tenancy_jobs(root_seed: int) -> list[JobSpec]:
-    fns = {"single": "measure_single_cell", "fleet": "measure_fleet_cell"}
-    return [
-        _seeded_spec(
-            f"e24/{section}@{label}", "e24",
-            f"{_EXP}.e24_tenancy:{fns[section]}",
-            _point_seed(root_seed, "e24", f"{section}@{label}"),
-            label=label,
-        )
-        for section in _tenancy.SECTIONS
-        for label in _tenancy.cell_labels(section)
-    ]
-
-
-def _assemble_tenancy(values: list[Any]) -> Any:
-    cells = [_tenancy.TenancyCell(**v) for v in values]
-    _tenancy.render_tenancy(cells)
-    payload = _tenancy.write_tenancy_artifact(cells)
-    _tenancy.validate_tenancy_payload(payload)
-    print(f"[wrote {_tenancy.TENANCY_ARTIFACT}: "
-          f"{len(payload['cells'])} cells]")
-    return jsonable(cells)
-
-
-def _slo_jobs(root_seed: int) -> list[JobSpec]:
-    fns = {"single": "measure_single_cell", "fleet": "measure_fleet_cell"}
-    return [
-        _seeded_spec(
-            f"e25/{section}@{label}", "e25",
-            f"{_EXP}.e25_slo:{fns[section]}",
-            _point_seed(root_seed, "e25", f"{section}@{label}"),
-            label=label,
-        )
-        for section in _slo.SECTIONS
-        for label in _slo.cell_labels(section)
-    ]
-
-
-def _assemble_slo(values: list[Any]) -> Any:
-    cells = [_slo.SloCell(**v) for v in values]
-    _slo.render_slo(cells)
-    payload = _slo.write_slo_artifact(cells)
-    _slo.validate_slo_payload(payload)
-    print(f"[wrote {_slo.SLO_ARTIFACT}: {len(payload['cells'])} cells]")
-    return jsonable(cells)
-
-
-def _points(name: str, title: str, build_jobs, assemble) -> ExperimentSpec:
-    return ExperimentSpec(name=name, title=title, build_jobs=build_jobs,
-                          assemble=assemble)
+    smoke = None
+    if grid.smoke is not None:
+        smoke = frozenset(f"{grid.name}/{key}" for key in grid.smoke)
+    return ExperimentSpec(name=grid.name, title=grid.title,
+                          build_jobs=build_jobs, assemble=assemble,
+                          smoke=smoke)
 
 
 EXPERIMENT_SPECS: dict[str, ExperimentSpec] = {
@@ -394,10 +109,8 @@ EXPERIMENT_SPECS: dict[str, ExperimentSpec] = {
               [("main", "fig1_steps:run_fig1_steps")]),
         _mono("e3", "Figure 5 — dispatch comparison",
               [("main", "fig5_dispatch:run_fig5_dispatch")]),
-        _points("e4", "Dynamic workload mix",
-                _dynamic_mix_jobs, _assemble_dynamic_mix),
-        _points("e5", "Section 6 — DMA crossover",
-                _crossover_jobs, _assemble_crossover),
+        _sweep(dynamic_mix.GRID),
+        _sweep(crossover.GRID),
         _mono("e6", "Section 5.1 — Tryagain & energy",
               [("energy", "tryagain:run_tryagain_energy"),
                ("timeout", "tryagain:run_timeout_ablation")]),
@@ -409,8 +122,7 @@ EXPERIMENT_SPECS: dict[str, ExperimentSpec] = {
               [("main", "nested_rpc:run_nested_rpc")]),
         _mono("e10", "Figure 4 — protocol cost",
               [("main", "protocol_cost:run_protocol_cost")]),
-        _points("e11", "Section 2 design space — four stacks",
-                _four_stacks_jobs, _assemble_four_stacks),
+        _sweep(four_stacks.GRID),
         _mono("e12", "Ablations — deserialisation offload & crypto placement",
               [("deserialize", "ablation:run_deserialize_ablation"),
                ("crypto", "ablation:run_crypto_ablation")]),
@@ -419,33 +131,18 @@ EXPERIMENT_SPECS: dict[str, ExperimentSpec] = {
         _mono("e14", "Peak throughput & end-point scaling",
               [("throughput", "throughput:run_throughput"),
                ("scaling", "throughput:run_lauberhorn_scaling")]),
-        _points("e15", "Latency vs offered load",
-                _load_sweep_jobs, _assemble_load_sweep),
+        _sweep(load_sweep.GRID),
         _mono("e16", "Section 3 — the IOMMU tax",
               [("main", "iommu_tax:run_iommu_tax")]),
-        _points("e17", "Serverless consolidation trace",
-                _serverless_jobs, _assemble_serverless),
-        _points("e18", "Sensitivity — coherent-link latency",
-                _sensitivity_jobs, _assemble_sensitivity),
-        _points("e19", "Fault sweep — invariants under injected faults",
-                _fault_sweep_jobs, _assemble_fault_sweep),
-        _points("e20", "Observability — span attribution & overhead",
-                _obs_jobs, _assemble_obs),
-        _points("e21", "Time-series telemetry, flight recorder & "
-                       "tail forensics",
-                _timeline_jobs, _assemble_timeline),
-        _points("e22", "Adaptive control plane — policy tournaments & "
-                       "epoch migration",
-                _control_jobs, _assemble_control),
-        _points("e23", "Rack-scale fleets — replica scaling, skew & "
-                       "coherent-NIC placement",
-                _fleet_jobs, _assemble_fleet),
-        _points("e24", "Multi-tenant isolation — budgets, weighted-fair "
-                       "demux & noisy neighbours",
-                _tenancy_jobs, _assemble_tenancy),
-        _points("e25", "Tenant SLOs — burn-rate alerts, budget ledgers & "
-                       "flame attribution",
-                _slo_jobs, _assemble_slo),
+        _sweep(serverless.GRID),
+        _sweep(sensitivity.GRID),
+        _sweep(fault_sweep.GRID),
+        _sweep(obs_attribution.GRID),
+        _sweep(e21_timeline.GRID),
+        _sweep(e22_control.GRID),
+        _sweep(e23_fleet.GRID),
+        _sweep(e24_tenancy.GRID),
+        _sweep(e25_slo.GRID),
     ]
 }
 
@@ -465,7 +162,14 @@ def _header(name: str, title: str) -> str:
     return f"\n{bar}\n{name.upper()}: {title}\n{bar}"
 
 
-def _finish(spec: ExperimentSpec, results: list[JobResult]):
+def _jobs(spec: ExperimentSpec, root_seed: int, smoke: bool) -> list[JobSpec]:
+    jobs = spec.build_jobs(root_seed)
+    if smoke and spec.smoke is not None:
+        jobs = [job for job in jobs if job.job_id in spec.smoke]
+    return jobs
+
+
+def _finish(spec: ExperimentSpec, results: list[JobResult], smoke: bool):
     """(final value, table text still to print) for one experiment."""
     bad = [r for r in results if not r.ok]
     if bad:
@@ -481,7 +185,7 @@ def _finish(spec: ExperimentSpec, results: list[JobResult]):
         return (values[0] if len(values) == 1 else values), ""
     sink = StringIO()
     with redirect_stdout(sink):
-        value = spec.assemble([r.value for r in results])
+        value = spec.assemble([r.value for r in results], smoke)
     return value, sink.getvalue()
 
 
@@ -490,17 +194,20 @@ def run_experiments(
     jobs: int = 1,
     cache=None,
     root_seed: int = 0,
+    smoke: bool = False,
 ) -> RunOutcome:
     """Run a selection of experiments and print the paper artifact.
 
     ``jobs <= 1`` streams each experiment in order (monolithic bodies
-    print live, exactly like the historical serial runner); ``jobs > 1``
-    fans every job of every selected experiment over the pool at once,
-    then prints the experiment blocks in order from captured output.
+    print live); ``jobs > 1`` fans every job of every selected
+    experiment over the pool at once, then prints the experiment blocks
+    in order from captured output.  ``smoke=True`` is the CI-sized run:
+    each sweep keeps only the points its grid marks for smoke runs (the
+    whole grid if it marks none) and validates its artifact as partial.
     """
     outcome = RunOutcome()
     job_lists = {
-        name: EXPERIMENT_SPECS[name].build_jobs(root_seed)
+        name: _jobs(EXPERIMENT_SPECS[name], root_seed, smoke)
         for name in selected
     }
 
@@ -521,7 +228,7 @@ def run_experiments(
                 if cache is not None and result.ok:
                     cache.store(job, result)
                 results.append(result)
-            value, tail = _finish(spec, results)
+            value, tail = _finish(spec, results, smoke)
             if tail:
                 sys.stdout.write(tail)
             wall = time.perf_counter() - started
@@ -536,7 +243,7 @@ def run_experiments(
             for result in results:
                 if result.stdout:
                     sys.stdout.write(result.stdout)
-            value, tail = _finish(spec, results)
+            value, tail = _finish(spec, results, smoke)
             if tail:
                 sys.stdout.write(tail)
             wall = sum(r.wall_s for r in results)

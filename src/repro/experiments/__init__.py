@@ -1,8 +1,11 @@
 """Experiment harness (S14): testbeds and one module per paper artifact.
 
-The individual experiments (E1-E18) live in their own modules and are
-indexed by :data:`repro.experiments.run_all.EXPERIMENTS`; import them
-lazily via ``run_all`` to keep testbed imports light.
+The individual experiments (E1-E25) live in their own modules; each
+sweep experiment declares its points once, as a ``GRID``
+(:mod:`repro.experiments.grid`), and
+:data:`repro.exp.jobs.EXPERIMENT_SPECS` indexes them all.  Run them
+through :func:`repro.exp.run_experiments` or ``run_all``; importing
+this package stays light (testbeds only).
 """
 
 from .testbed import (

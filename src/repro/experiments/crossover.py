@@ -22,10 +22,11 @@ from ..nic.lauberhorn import EndpointKind
 from ..os.nicsched import lauberhorn_user_loop
 from ..sim.clock import MS
 from ..workloads.distributions import args_for_payload
+from .grid import Grid
 from .report import fmt_ns, print_table
 from .testbed import build_lauberhorn_testbed
 
-__all__ = ["CrossoverPoint", "assemble_crossover", "render_crossover",
+__all__ = ["GRID", "CrossoverPoint", "assemble_crossover", "render_crossover",
            "run_crossover", "measure_rtt_for_size"]
 
 DEFAULT_SIZES = (64, 128, 256, 512, 1024, 2048, 4096, 6144, 8192, 16384)
@@ -137,3 +138,23 @@ def run_crossover(
     if verbose:
         render_crossover(points, crossover, machine_name=params.name)
     return points, crossover
+
+
+def _assemble(values: list, smoke: bool):
+    points, crossover = assemble_crossover(
+        DEFAULT_SIZES, values[0::2], values[1::2]
+    )
+    render_crossover(points, crossover)
+    return points, crossover
+
+
+GRID = Grid(
+    name="e5", title="Section 6 — DMA crossover",
+    points=tuple(
+        (f"{mode}@{size}", "crossover:measure_rtt_for_size",
+         {"payload_bytes": size, "force_dma": force_dma})
+        for size in DEFAULT_SIZES
+        for mode, force_dma in (("line", False), ("dma", True))
+    ),
+    assemble=_assemble,
+)

@@ -35,6 +35,7 @@ from ..rpc.server import bypass_worker, linux_udp_worker
 from ..sim.clock import MS
 from ..workloads.generator import OpenLoopGenerator, ServiceMix, Target
 from ..workloads.traces import HotSetSchedule
+from .grid import Grid, rendered
 from .report import fmt_ns, print_table
 from .testbed import (
     build_bypass_testbed,
@@ -42,11 +43,13 @@ from .testbed import (
     build_linux_testbed,
 )
 
-__all__ = ["MixResult", "measure_mix_point", "render_dynamic_mix",
+__all__ = ["GRID", "MixResult", "measure_mix_point", "render_dynamic_mix",
            "run_dynamic_mix"]
 
 HANDLER_COST = 1000
 BASE_PORT = 9000
+SERVICE_COUNTS = (2, 8, 32)
+MIX_STACKS = ("linux", "bypass", "lauberhorn")
 
 
 @dataclass(frozen=True)
@@ -195,7 +198,7 @@ def render_dynamic_mix(
 
 
 def run_dynamic_mix(
-    service_counts=(2, 8, 32),
+    service_counts=SERVICE_COUNTS,
     n_serving: int = 4,
     rate_per_sec: float = 50_000,
     n_requests: int = 300,
@@ -207,8 +210,21 @@ def run_dynamic_mix(
         measure_mix_point(stack, n_services, n_serving, rate_per_sec,
                           n_requests, rotation_ns, seed)
         for n_services in service_counts
-        for stack in ("linux", "bypass", "lauberhorn")
+        for stack in MIX_STACKS
     ]
     if verbose:
         render_dynamic_mix(results, n_serving, rate_per_sec)
     return results
+
+
+GRID = Grid(
+    name="e4", title="Dynamic workload mix",
+    points=tuple(
+        (f"{stack}@{count}", "dynamic_mix:measure_mix_point",
+         {"stack": stack, "n_services": count})
+        for count in SERVICE_COUNTS
+        for stack in MIX_STACKS
+    ),
+    assemble=rendered(MixResult, render_dynamic_mix),
+    seeded=True,
+)

@@ -29,24 +29,24 @@ host-side only.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..check import install_checks
 from ..faults import FaultPlan, active
+from ..metrics.histogram import nearest_rank
 from ..obs.flight import FlightRecorder
 from ..obs.instrument import arm_flight, arm_testbed, bind_testbed_metrics
 from ..obs.tail import render_tail_report, tail_report
 from ..obs.timeseries import TimeSeriesSampler
 from ..sim.clock import MS
 from .four_stacks import STACKS, _build_stack
+from .grid import Grid, write_json_artifact
 from .report import fmt_ns, print_table
 
-__all__ = ["TimelineResult", "measure_timeline_stack", "render_timeline",
-           "write_timeline_artifact", "validate_timeline_payload",
-           "run_timeline", "TIMELINE_ARTIFACT"]
+__all__ = ["GRID", "TimelineResult", "measure_timeline_stack",
+           "render_timeline", "write_timeline_artifact",
+           "validate_timeline_payload", "TIMELINE_ARTIFACT"]
 
 #: default location of the JSON artifact (relative to the runner's cwd)
 TIMELINE_ARTIFACT = "results/e21_timeline.json"
@@ -142,13 +142,6 @@ def _inject_violation(checks, sim, at_ns: float) -> None:
     checks.add("e21-injected", check)
 
 
-def _percentile(samples: list[float], q: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
-
-
 def _layer_counts(names: list[str]) -> dict[str, int]:
     counts = {"hw": 0, "os": 0, "nic": 0}
     for name in names:
@@ -192,8 +185,8 @@ def measure_timeline_stack(stack: str, n_requests: int = N_REQUESTS,
         n_requests=n_requests,
         completed=len(armed_rtts),
         identical=armed_rtts == base_rtts,
-        p50_rtt_ns=_percentile(armed_rtts, 0.50),
-        p999_rtt_ns=_percentile(armed_rtts, TAIL_QUANTILE),
+        p50_rtt_ns=nearest_rank(armed_rtts, 0.50),
+        p999_rtt_ns=nearest_rank(armed_rtts, TAIL_QUANTILE),
         layers=_layer_counts(sampler.names()),
         timeseries=sampler.as_dict(),
         flight_dump=checks.flight_dump,
@@ -249,12 +242,7 @@ def write_timeline_artifact(results: list["TimelineResult"],
         "horizon_ns": HORIZON_NS,
         "stacks": {r.stack: jsonable(r) for r in results},
     }
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=1)
-    return payload
+    return write_json_artifact(payload, path)
 
 
 def validate_timeline_payload(payload: dict) -> None:
@@ -306,15 +294,22 @@ def validate_timeline_payload(payload: dict) -> None:
         raise ValueError("; ".join(problems))
 
 
-def run_timeline(n_requests: int = N_REQUESTS, verbose: bool = True,
-                 artifact_path: str = TIMELINE_ARTIFACT
-                 ) -> list[TimelineResult]:
-    results = [measure_timeline_stack(stack, n_requests)
-               for stack in STACKS]
-    if verbose:
-        render_timeline(results)
-        payload = write_timeline_artifact(results, artifact_path)
-        validate_timeline_payload(payload)
-        print(f"\n[wrote {artifact_path}: "
-              f"{len(payload['stacks'])} stacks]")
+def _assemble(values: list, smoke: bool) -> list[TimelineResult]:
+    results = [TimelineResult(**value) for value in values]
+    render_timeline(results)
+    payload = write_timeline_artifact(results)
+    validate_timeline_payload(payload)
+    print(f"\n[wrote {TIMELINE_ARTIFACT}: {len(payload['stacks'])} stacks]")
     return results
+
+
+GRID = Grid(
+    name="e21",
+    title="Time-series telemetry, flight recorder & tail forensics",
+    points=tuple(
+        (stack, "e21_timeline:measure_timeline_stack", {"stack": stack})
+        for stack in STACKS
+    ),
+    assemble=_assemble,
+    seeded=True,
+)

@@ -23,8 +23,6 @@ Artifact: ``results/e22_control.json`` (schema-checked by
 
 from __future__ import annotations
 
-import json
-import os
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -38,18 +36,20 @@ from ..ctrl import (
     sticky_chooser,
 )
 from ..faults import FaultPlan, active
+from ..metrics.histogram import nearest_rank
 from ..obs.instrument import bind_testbed_metrics
 from ..obs.timeseries import TimeSeriesSampler
 from ..sim.clock import MS
 from ..sim.rng import derive_seed
 from ..workloads.generator import OpenLoopGenerator, ServiceMix, Target
 from .four_stacks import STACKS, _build_stack
+from .grid import Grid, write_json_artifact
 from .report import fmt_ns, print_table
 
-__all__ = ["ControlCell", "CONTROL_ARTIFACT", "FAULT_PLANS", "POLICY_SPECS",
-           "measure_control_cell", "measure_adaptive_mix",
+__all__ = ["GRID", "ControlCell", "CONTROL_ARTIFACT", "FAULT_PLANS",
+           "POLICY_SPECS", "measure_control_cell", "measure_adaptive_mix",
            "render_control", "write_control_artifact",
-           "validate_control_payload", "run_control"]
+           "validate_control_payload"]
 
 #: default location of the JSON artifact (relative to the runner's cwd)
 CONTROL_ARTIFACT = "results/e22_control.json"
@@ -111,13 +111,6 @@ class ControlCell:
     rate_resets: dict = field(default_factory=dict)
     #: ``none`` cells only: armed-but-inert run == bare run, RTT for RTT
     identical: Optional[bool] = None
-
-
-def _percentile(samples: list[float], q: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
 def _drive(stack: str, plan: FaultPlan, spec: Optional[PolicySpec],
@@ -190,8 +183,8 @@ def measure_control_cell(stack: str, plan_label: str, policy: str,
         policy=policy,
         n_requests=n_requests,
         completed=stats["completed"],
-        p50_rtt_ns=_percentile(rtts, 0.50),
-        p99_rtt_ns=_percentile(rtts, 0.99),
+        p50_rtt_ns=nearest_rank(rtts, 0.50),
+        p99_rtt_ns=nearest_rank(rtts, 0.99),
         retries=stats["retries"],
         tryagains=stats["tryagains"],
         deferrals=stats["deferrals"],
@@ -302,12 +295,7 @@ def write_control_artifact(cells: list["ControlCell"],
         "cells": [jsonable(cell) for cell in cells],
         "adaptive": jsonable(adaptive) if adaptive else None,
     }
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=1)
-    return payload
+    return write_json_artifact(payload, path)
 
 
 def validate_control_payload(payload: dict, complete: bool = True) -> None:
@@ -372,25 +360,30 @@ def validate_control_payload(payload: dict, complete: bool = True) -> None:
         raise ValueError("; ".join(problems))
 
 
-def run_control(verbose: bool = True, smoke: bool = False,
-                artifact_path: str = CONTROL_ARTIFACT) -> list[ControlCell]:
-    """Serial runner; ``smoke=True`` is the CI one-cell-per-policy job."""
-    if smoke:
-        combos = [("lauberhorn", "storm", policy) for policy in POLICY_SPECS]
-        adaptive = None
-    else:
-        combos = [
-            (stack, plan, policy)
-            for stack in STACKS
-            for plan in FAULT_PLANS
-            for policy in POLICY_SPECS
-        ]
-        adaptive = measure_adaptive_mix()
-    cells = [measure_control_cell(stack, plan, policy)
-             for stack, plan, policy in combos]
-    if verbose:
-        render_control(cells, adaptive)
-        payload = write_control_artifact(cells, adaptive, artifact_path)
-        validate_control_payload(payload, complete=not smoke)
-        print(f"\n[wrote {artifact_path}: {len(payload['cells'])} cells]")
-    return cells
+def _assemble(values: list, smoke: bool) -> dict:
+    # a full run ends with the adaptive-mix point; a smoke run skips it
+    adaptive = None if smoke else values[-1]
+    cells = [ControlCell(**value)
+             for value in (values if smoke else values[:-1])]
+    render_control(cells, adaptive)
+    payload = write_control_artifact(cells, adaptive)
+    validate_control_payload(payload, complete=not smoke)
+    print(f"\n[wrote {CONTROL_ARTIFACT}: {len(payload['cells'])} cells]")
+    return {"cells": cells, "adaptive": adaptive}
+
+
+GRID = Grid(
+    name="e22",
+    title="Adaptive control plane — policy tournaments & epoch migration",
+    points=tuple(
+        (f"{stack}@{plan}@{policy}", "e22_control:measure_control_cell",
+         {"stack": stack, "plan_label": plan, "policy": policy})
+        for stack in STACKS
+        for plan in FAULT_PLANS
+        for policy in POLICY_SPECS
+    ) + (("adaptive", "e22_control:measure_adaptive_mix", {}),),
+    assemble=_assemble,
+    seeded=True,
+    # one cell per policy: lauberhorn under the storm plan
+    smoke=tuple(f"lauberhorn@storm@{policy}" for policy in POLICY_SPECS),
+)

@@ -27,20 +27,20 @@ Artifact: ``results/e23_fleet.json`` (schema-checked by
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 
 from ..check import install_fleet_checks
 from ..fleet import Fleet, HostSpec, build_fleet
+from ..metrics.histogram import nearest_rank
 from ..net.topology import TopologySpec
 from ..sim.clock import MS
+from .grid import Grid, write_json_artifact
 from .report import fmt_ns, print_table
 
-__all__ = ["FleetCell", "FLEET_ARTIFACT", "SCALING_LABELS", "SKEW_LABELS",
-           "PLACEMENT_LABELS", "cell_labels", "measure_fleet_cell",
-           "render_fleet", "write_fleet_artifact", "validate_fleet_payload",
-           "run_fleet"]
+__all__ = ["GRID", "FleetCell", "FLEET_ARTIFACT", "SCALING_LABELS",
+           "SKEW_LABELS", "PLACEMENT_LABELS", "cell_labels",
+           "measure_fleet_cell", "render_fleet", "write_fleet_artifact",
+           "validate_fleet_payload"]
 
 #: default location of the JSON artifact (relative to the runner's cwd)
 FLEET_ARTIFACT = "results/e23_fleet.json"
@@ -167,13 +167,6 @@ def _drive(fleet: Fleet, counts: list[int]) -> list[float]:
     return rtts
 
 
-def _percentile(samples: list[float], q: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
-
-
 def measure_fleet_cell(section: str, label: str, seed: int = 0) -> FleetCell:
     """Build, invariant-arm, and drive one fleet configuration."""
     config = _cell_config(section, label)
@@ -206,8 +199,8 @@ def measure_fleet_cell(section: str, label: str, seed: int = 0) -> FleetCell:
         n_flows=config["n_flows"],
         n_requests=sum(counts),
         completed=len(rtts),
-        p50_rtt_ns=_percentile(rtts, 0.50),
-        p99_rtt_ns=_percentile(rtts, 0.99),
+        p50_rtt_ns=nearest_rank(rtts, 0.50),
+        p99_rtt_ns=nearest_rank(rtts, 0.99),
         mean_rtt_ns=sum(rtts) / len(rtts) if rtts else 0.0,
         routed=routed,
         flows_per_replica=spread["flows_per_replica"],
@@ -261,12 +254,7 @@ def write_fleet_artifact(cells: list["FleetCell"],
         "sections": list(SECTIONS),
         "cells": [jsonable(cell) for cell in cells],
     }
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=1)
-    return payload
+    return write_json_artifact(payload, path)
 
 
 def validate_fleet_payload(payload: dict, complete: bool = True) -> None:
@@ -326,19 +314,27 @@ def validate_fleet_payload(payload: dict, complete: bool = True) -> None:
         raise ValueError("; ".join(problems))
 
 
-def run_fleet(verbose: bool = True, smoke: bool = False,
-              artifact_path: str = FLEET_ARTIFACT) -> list[FleetCell]:
-    """Serial runner; ``smoke=True`` is the CI one-cell-per-section job."""
-    if smoke:
-        combos = [("scaling", "r2"), ("placement", "mixed")]
-    else:
-        combos = [(section, label) for section in SECTIONS
-                  for label in cell_labels(section)]
-    cells = [measure_fleet_cell(section, label)
-             for section, label in combos]
-    if verbose:
-        render_fleet(cells)
-        payload = write_fleet_artifact(cells, artifact_path)
-        validate_fleet_payload(payload, complete=not smoke)
-        print(f"[wrote {artifact_path}: {len(payload['cells'])} cells]")
+def _assemble(values: list, smoke: bool) -> list[FleetCell]:
+    cells = [FleetCell(**value) for value in values]
+    render_fleet(cells)
+    payload = write_fleet_artifact(cells)
+    validate_fleet_payload(payload, complete=not smoke)
+    print(f"[wrote {FLEET_ARTIFACT}: {len(payload['cells'])} cells]")
     return cells
+
+
+GRID = Grid(
+    name="e23",
+    title="Rack-scale fleets — replica scaling, skew & coherent-NIC "
+          "placement",
+    points=tuple(
+        (f"{section}@{label}", "e23_fleet:measure_fleet_cell",
+         {"section": section, "label": label})
+        for section in SECTIONS
+        for label in cell_labels(section)
+    ),
+    assemble=_assemble,
+    seeded=True,
+    # one cell per headline section
+    smoke=("scaling@r2", "placement@mixed"),
+)

@@ -38,25 +38,25 @@ Artifact: ``results/e24_tenancy.json`` (schema-checked by
 
 from __future__ import annotations
 
-import json
-import os
 import random
 from dataclasses import dataclass, field
 
 from ..check import install_checks, install_fleet_checks
 from ..fleet import HostSpec, build_fleet
+from ..metrics.histogram import nearest_rank
 from ..net.topology import TopologySpec
 from ..sim.clock import MS
 from ..tenancy import TenantTable
 from ..workloads.distributions import args_for_payload
 from ..workloads.generator import OpenLoopGenerator, ServiceMix, Target
+from .grid import Grid, write_json_artifact
 from .report import fmt_ns, print_table
 from .testbed import build_lauberhorn_testbed, deploy_service
 
-__all__ = ["TenancyCell", "TENANCY_ARTIFACT", "SINGLE_LABELS", "FLEET_LABELS",
-           "cell_labels", "measure_single_cell", "measure_fleet_cell",
-           "render_tenancy", "write_tenancy_artifact",
-           "validate_tenancy_payload", "run_tenancy"]
+__all__ = ["GRID", "TenancyCell", "TENANCY_ARTIFACT", "SINGLE_LABELS",
+           "FLEET_LABELS", "cell_labels", "measure_single_cell",
+           "measure_fleet_cell", "render_tenancy", "write_tenancy_artifact",
+           "validate_tenancy_payload"]
 
 #: default location of the JSON artifact (relative to the runner's cwd)
 TENANCY_ARTIFACT = "results/e24_tenancy.json"
@@ -161,13 +161,6 @@ def _build_table(n_tenants: int, pattern: str, isolated: bool) -> TenantTable:
     return table
 
 
-def _percentile(samples: list, q: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
-
-
 def _fire_and_forget(sim, client, server_mac, server_ip, service, method,
                      args, rate: float, count: int, rng, done: list,
                      start_delay_ns: float = 200_000.0):
@@ -244,9 +237,9 @@ def measure_single_cell(label: str, seed: int = 0) -> TenancyCell:
         isolated=isolated,
         n_victim=VICTIM_REQUESTS,
         victim_completed=victim_gen.completed,
-        victim_p50_ns=_percentile(rtts, 0.50),
-        victim_p99_ns=_percentile(rtts, 0.99),
-        victim_p999_ns=_percentile(rtts, 0.999),
+        victim_p50_ns=nearest_rank(rtts, 0.50),
+        victim_p99_ns=nearest_rank(rtts, 0.99),
+        victim_p999_ns=nearest_rank(rtts, 0.999),
         aggressor_sent=aggressor_sent,
         aggressor_completed=len(aggressor_done),
         ledger=table.snapshot(),
@@ -329,9 +322,9 @@ def measure_fleet_cell(label: str, seed: int = 0) -> TenancyCell:
         isolated=isolated,
         n_victim=FLEET_VICTIM_REQUESTS,
         victim_completed=len(completed),
-        victim_p50_ns=_percentile(rtts, 0.50),
-        victim_p99_ns=_percentile(rtts, 0.99),
-        victim_p999_ns=_percentile(rtts, 0.999),
+        victim_p50_ns=nearest_rank(rtts, 0.50),
+        victim_p99_ns=nearest_rank(rtts, 0.99),
+        victim_p999_ns=nearest_rank(rtts, 0.999),
         aggressor_sent=aggressor_sent,
         aggressor_completed=len(aggressor_done),
         ledger=tables[0].snapshot(),
@@ -382,12 +375,7 @@ def write_tenancy_artifact(cells: list["TenancyCell"],
         "sections": list(SECTIONS),
         "cells": [jsonable(cell) for cell in cells],
     }
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=1)
-    return payload
+    return write_json_artifact(payload, path)
 
 
 def validate_tenancy_payload(payload: dict, complete: bool = True) -> None:
@@ -461,24 +449,27 @@ def validate_tenancy_payload(payload: dict, complete: bool = True) -> None:
         raise ValueError("; ".join(problems))
 
 
-def run_tenancy(verbose: bool = True, smoke: bool = False,
-                artifact_path: str = TENANCY_ARTIFACT) -> list[TenancyCell]:
-    """Serial runner; ``smoke=True`` is the CI headline-pair job."""
-    if smoke:
-        combos = [("single", "solo"), ("single", "2t-storm-off"),
-                  ("single", "2t-storm-on")]
-    else:
-        combos = [(section, label) for section in SECTIONS
-                  for label in cell_labels(section)]
-    cells = []
-    for section, label in combos:
-        if section == "single":
-            cells.append(measure_single_cell(label))
-        else:
-            cells.append(measure_fleet_cell(label))
-    if verbose:
-        render_tenancy(cells)
-        payload = write_tenancy_artifact(cells, artifact_path)
-        validate_tenancy_payload(payload, complete=not smoke)
-        print(f"[wrote {artifact_path}: {len(payload['cells'])} cells]")
+def _assemble(values: list, smoke: bool) -> list[TenancyCell]:
+    cells = [TenancyCell(**value) for value in values]
+    render_tenancy(cells)
+    payload = write_tenancy_artifact(cells)
+    validate_tenancy_payload(payload, complete=not smoke)
+    print(f"[wrote {TENANCY_ARTIFACT}: {len(payload['cells'])} cells]")
     return cells
+
+
+GRID = Grid(
+    name="e24",
+    title="Multi-tenant isolation — budgets, weighted-fair demux & noisy "
+          "neighbours",
+    points=tuple(
+        (f"{section}@{label}",
+         f"e24_tenancy:measure_{section}_cell", {"label": label})
+        for section in SECTIONS
+        for label in cell_labels(section)
+    ),
+    assemble=_assemble,
+    seeded=True,
+    # solo plus the 2-tenant storm headline pair
+    smoke=("single@solo", "single@2t-storm-off", "single@2t-storm-on"),
+)

@@ -35,14 +35,13 @@ convention, extended to SLO/flame.  Artifact:
 
 from __future__ import annotations
 
-import json
-import os
 import random
 from dataclasses import dataclass, field
 
 from ..check import install_checks, install_fleet_checks
 from ..ctrl import Actuators, AdmissionGate, Controller, PolicySpec
 from ..fleet import HostSpec, build_fleet
+from ..metrics.histogram import nearest_rank
 from ..net.topology import TopologySpec
 from ..obs import (
     FlightRecorder,
@@ -61,14 +60,15 @@ from ..sim.clock import MS
 from ..tenancy import TenantTable
 from ..workloads.distributions import args_for_payload
 from ..workloads.generator import OpenLoopGenerator, ServiceMix, Target
-from .e24_tenancy import PATTERNS, VICTIM_COST, VICTIM_RATE, _percentile
+from .e24_tenancy import PATTERNS, VICTIM_COST, VICTIM_RATE
+from .grid import Grid, write_json_artifact
 from .report import fmt_ns, print_table
 from .testbed import build_lauberhorn_testbed, deploy_service
 
-__all__ = ["SloCell", "SLO_ARTIFACT", "SINGLE_LABELS", "FLEET_LABELS",
-           "cell_labels", "measure_single_cell", "measure_fleet_cell",
-           "render_slo", "write_slo_artifact", "validate_slo_payload",
-           "run_slo"]
+__all__ = ["GRID", "SloCell", "SLO_ARTIFACT", "SINGLE_LABELS",
+           "FLEET_LABELS", "cell_labels", "measure_single_cell",
+           "measure_fleet_cell", "render_slo", "write_slo_artifact",
+           "validate_slo_payload"]
 
 #: default location of the JSON artifact (relative to the runner's cwd)
 SLO_ARTIFACT = "results/e25_slo.json"
@@ -488,9 +488,9 @@ def _finish_cell(section, label, n_tenants, tightness, interference,
         identical=identical,
         n_victim=n_victim,
         victim_completed=completed,
-        victim_p50_ns=_percentile(rtts, 0.50),
-        victim_p99_ns=_percentile(rtts, 0.99),
-        victim_p999_ns=_percentile(rtts, 0.999),
+        victim_p50_ns=nearest_rank(rtts, 0.50),
+        victim_p99_ns=nearest_rank(rtts, 0.99),
+        victim_p999_ns=nearest_rank(rtts, 0.999),
         slo=_trim_slo_report(tracker.report()),
         flame=_flame_summary(profile),
         flame_diff=_per_request_diff(profile, f"{host}/victim",
@@ -556,12 +556,7 @@ def write_slo_artifact(cells: list["SloCell"],
         "sections": list(SECTIONS),
         "cells": [jsonable(cell) for cell in cells],
     }
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=1)
-    return payload
+    return write_json_artifact(payload, path)
 
 
 def validate_slo_payload(payload: dict, complete: bool = True) -> None:
@@ -674,23 +669,27 @@ def validate_slo_payload(payload: dict, complete: bool = True) -> None:
         raise ValueError("; ".join(problems))
 
 
-def run_slo(verbose: bool = True, smoke: bool = False,
-            artifact_path: str = SLO_ARTIFACT) -> list[SloCell]:
-    """Serial runner; ``smoke=True`` is the CI calm/storm-pair job."""
-    if smoke:
-        combos = [("single", "2t-tight-calm"), ("single", "2t-tight-storm")]
-    else:
-        combos = [(section, label) for section in SECTIONS
-                  for label in cell_labels(section)]
-    cells = []
-    for section, label in combos:
-        if section == "single":
-            cells.append(measure_single_cell(label))
-        else:
-            cells.append(measure_fleet_cell(label))
-    if verbose:
-        render_slo(cells)
-        payload = write_slo_artifact(cells, artifact_path)
-        validate_slo_payload(payload, complete=not smoke)
-        print(f"[wrote {artifact_path}: {len(payload['cells'])} cells]")
+def _assemble(values: list, smoke: bool) -> list[SloCell]:
+    cells = [SloCell(**value) for value in values]
+    render_slo(cells)
+    payload = write_slo_artifact(cells)
+    validate_slo_payload(payload, complete=not smoke)
+    print(f"[wrote {SLO_ARTIFACT}: {len(payload['cells'])} cells]")
     return cells
+
+
+GRID = Grid(
+    name="e25",
+    title="Tenant SLOs — burn-rate alerts, budget ledgers & flame "
+          "attribution",
+    points=tuple(
+        (f"{section}@{label}",
+         f"e25_slo:measure_{section}_cell", {"label": label})
+        for section in SECTIONS
+        for label in cell_labels(section)
+    ),
+    assemble=_assemble,
+    seeded=True,
+    # the tight-objective calm/storm pair
+    smoke=("single@2t-tight-calm", "single@2t-tight-storm"),
+)

@@ -25,10 +25,11 @@ from ..faults import FaultPlan, active
 from ..metrics.histogram import LatencyRecorder
 from ..sim.clock import MS
 from .four_stacks import STACKS, _build_stack
+from .grid import Grid, rendered
 from .report import fmt_ns, print_table
 
-__all__ = ["FaultPoint", "FAULT_POINTS", "measure_fault_point",
-           "render_fault_sweep", "run_fault_sweep"]
+__all__ = ["GRID", "FaultPoint", "FAULT_POINTS", "measure_fault_point",
+           "render_fault_sweep"]
 
 #: (label, loss_rate per link-frame, RX ring stall rate per frame).
 #: Every point also carries the :meth:`FaultPlan.default` background
@@ -138,12 +139,15 @@ def render_fault_sweep(results: list[FaultPoint]) -> None:
                 print(f"  !! {r.stack}/{r.label}: {detail}")
 
 
-def run_fault_sweep(verbose: bool = True, seed: int = 0) -> list[FaultPoint]:
-    results = [
-        measure_fault_point(stack, label, loss, stall, seed=seed)
+GRID = Grid(
+    name="e19", title="Fault sweep — invariants under injected faults",
+    points=tuple(
+        (f"{stack}@{label}", "fault_sweep:measure_fault_point",
+         {"stack": stack, "label": label, "loss_rate": loss,
+          "stall_rate": stall})
         for stack in STACKS
         for (label, loss, stall) in FAULT_POINTS
-    ]
-    if verbose:
-        render_fault_sweep(results)
-    return results
+    ),
+    assemble=rendered(FaultPoint, render_fault_sweep),
+    seeded=True,
+)

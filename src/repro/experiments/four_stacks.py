@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from ..metrics.cycles import CycleWindow
 from ..metrics.histogram import LatencyRecorder
 from ..sim.clock import MS
+from .grid import Grid, rendered
 from .report import fmt_ns, print_table
 from .testbed import (
     build_bypass_testbed,
@@ -29,8 +30,8 @@ from .testbed import (
     deploy_service,
 )
 
-__all__ = ["StackResult", "STACKS", "measure_stack", "render_four_stacks",
-           "run_four_stacks"]
+__all__ = ["GRID", "StackResult", "STACKS", "measure_stack",
+           "render_four_stacks", "run_four_stacks"]
 
 HANDLER_COST = 500
 
@@ -111,3 +112,13 @@ def run_four_stacks(n_requests: int = 25, verbose: bool = True) -> list[StackRes
     if verbose:
         render_four_stacks(results)
     return results
+
+
+GRID = Grid(
+    name="e11", title="Section 2 design space — four stacks",
+    points=tuple(
+        (stack, "four_stacks:measure_stack", {"stack": stack})
+        for stack in STACKS
+    ),
+    assemble=rendered(StackResult, render_four_stacks),
+)

@@ -16,6 +16,7 @@ from ..os.nicsched import lauberhorn_user_loop
 from ..rpc.server import bypass_worker, linux_udp_worker
 from ..sim.clock import MS
 from ..workloads.generator import OpenLoopGenerator, ServiceMix, Target
+from .grid import Grid, rendered
 from .report import fmt_ns, print_table
 from .testbed import (
     build_bypass_testbed,
@@ -23,10 +24,12 @@ from .testbed import (
     build_linux_testbed,
 )
 
-__all__ = ["LoadPoint", "measure_load_point", "render_load_sweep",
+__all__ = ["GRID", "LoadPoint", "measure_load_point", "render_load_sweep",
            "run_load_sweep"]
 
 HANDLER_COST = 500
+SWEEP_RATES = (50e3, 150e3, 300e3, 600e3)
+SWEEP_STACKS = ("linux", "bypass", "lauberhorn")
 
 
 @dataclass(frozen=True)
@@ -115,9 +118,9 @@ def render_load_sweep(points: list[LoadPoint]) -> None:
 
 
 def run_load_sweep(
-    rates=(50e3, 150e3, 300e3, 600e3),
+    rates=SWEEP_RATES,
     n_requests: int = 250,
-    stacks=("linux", "bypass", "lauberhorn"),
+    stacks=SWEEP_STACKS,
     verbose: bool = True,
 ) -> list[LoadPoint]:
     points = [
@@ -128,3 +131,15 @@ def run_load_sweep(
     if verbose:
         render_load_sweep(points)
     return points
+
+
+GRID = Grid(
+    name="e15", title="Latency vs offered load",
+    points=tuple(
+        (f"{stack}@{rate:.0f}", "load_sweep:measure_load_point",
+         {"stack": stack, "rate_per_sec": rate})
+        for stack in SWEEP_STACKS
+        for rate in SWEEP_RATES
+    ),
+    assemble=rendered(LoadPoint, render_load_sweep),
+)

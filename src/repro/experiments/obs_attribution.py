@@ -25,15 +25,17 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from ..metrics.histogram import nearest_rank
 from ..obs.export import stage_attribution
 from ..obs.instrument import arm_testbed, bind_testbed_metrics
 from ..sim.clock import MS
 from .four_stacks import STACKS, _build_stack
+from .grid import Grid
 from .report import fmt_ns, print_table
 
-__all__ = ["ObsResult", "STAGE_ORDER", "measure_obs_stack",
+__all__ = ["GRID", "ObsResult", "STAGE_ORDER", "measure_obs_stack",
            "render_obs_attribution", "write_trace_artifact",
-           "run_obs_attribution", "TRACE_ARTIFACT"]
+           "TRACE_ARTIFACT"]
 
 #: default location of the Perfetto artifact (relative to the cwd the
 #: runner was started from)
@@ -116,11 +118,10 @@ def measure_obs_stack(stack: str, n_requests: int = 25) -> ObsResult:
     armed_rtts = _drive(bed, service, method, n_requests)
     host_s_armed = time.perf_counter() - started
 
-    summary = _percentile(armed_rtts, 0.50)
     return ObsResult(
         stack=stack,
         n_requests=n_requests,
-        p50_rtt_ns=summary,
+        p50_rtt_ns=nearest_rank(armed_rtts, 0.50),
         stages={name: list(stat) for name, stat in
                 stage_attribution(recorder.spans).items()},
         spans=[span.as_dict() for span in recorder.spans],
@@ -130,14 +131,6 @@ def measure_obs_stack(stack: str, n_requests: int = 25) -> ObsResult:
         host_s_armed=host_s_armed,
         metric_rows=len(registry.snapshot()),
     )
-
-
-def _percentile(samples: list[float], q: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(q * len(ordered)))
-    return ordered[index]
 
 
 def render_obs_attribution(results: list["ObsResult"]) -> None:
@@ -187,12 +180,20 @@ def write_trace_artifact(results: list["ObsResult"],
     )
 
 
-def run_obs_attribution(n_requests: int = 25, verbose: bool = True,
-                        trace_path: str = TRACE_ARTIFACT) -> list[ObsResult]:
-    results = [measure_obs_stack(stack, n_requests) for stack in STACKS]
-    if verbose:
-        render_obs_attribution(results)
-        payload = write_trace_artifact(results, trace_path)
-        print(f"\n[wrote {trace_path}: {len(payload['traceEvents'])} "
-              f"trace events]")
+def _assemble(values: list, smoke: bool) -> list[ObsResult]:
+    results = [ObsResult(**value) for value in values]
+    render_obs_attribution(results)
+    payload = write_trace_artifact(results)
+    print(f"\n[wrote {TRACE_ARTIFACT}: "
+          f"{len(payload['traceEvents'])} trace events]")
     return results
+
+
+GRID = Grid(
+    name="e20", title="Observability — span attribution & overhead",
+    points=tuple(
+        (stack, "obs_attribution:measure_obs_stack", {"stack": stack})
+        for stack in STACKS
+    ),
+    assemble=_assemble,
+)

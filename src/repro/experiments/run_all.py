@@ -1,4 +1,4 @@
-"""Run every experiment (E1-E24) and print the paper-shaped output.
+"""Run every experiment (E1-E25) and print the paper-shaped output.
 
 Usage::
 
@@ -37,70 +37,9 @@ from ..faults.context import ENV_VAR
 from ..faults.plan import FaultPlan
 from ..exp.jobs import EXPERIMENT_SPECS, run_experiments
 from ..exp.pool import default_jobs, jsonable as _jsonable
-from .ablation import run_crypto_ablation, run_deserialize_ablation
-from .crossover import run_crossover
-from .dynamic_mix import run_dynamic_mix
-from .e21_timeline import run_timeline
-from .e22_control import run_control
-from .e23_fleet import run_fleet
-from .e24_tenancy import run_tenancy
-from .e25_slo import run_slo
-from .fault_sweep import run_fault_sweep
-from .fig1_steps import run_fig1_steps
-from .fig2_roundtrip import run_fig2
-from .fig5_dispatch import run_fig5_dispatch
-from .four_stacks import run_four_stacks
-from .iommu_tax import run_iommu_tax
-from .load_sweep import run_load_sweep
-from .model_check import run_model_check
-from .nested_rpc import run_nested_rpc
-from .obs_attribution import run_obs_attribution
-from .protocol_cost import run_protocol_cost
 from .report import format_table
-from .sched_state import run_sched_state
-from .sensitivity import run_sensitivity
-from .serverless import run_serverless
-from .telemetry_breakdown import run_telemetry_breakdown
-from .throughput import run_lauberhorn_scaling, run_throughput
-from .tryagain import run_timeout_ablation, run_tryagain_energy
 
-__all__ = ["EXPERIMENTS", "main"]
-
-# Legacy API: each experiment as (title, serial callable).  The CLI
-# itself schedules through repro.exp's job registry; these callables
-# remain for programmatic use and produce identical output/results.
-_SERIAL = {
-    "e1": lambda: run_fig2(),
-    "e2": lambda: run_fig1_steps(),
-    "e3": lambda: run_fig5_dispatch(),
-    "e4": lambda: run_dynamic_mix(),
-    "e5": lambda: run_crossover(),
-    "e6": lambda: (run_tryagain_energy(), run_timeout_ablation()),
-    "e7": lambda: run_model_check(),
-    "e8": lambda: run_sched_state(),
-    "e9": lambda: run_nested_rpc(),
-    "e10": lambda: run_protocol_cost(),
-    "e11": lambda: run_four_stacks(),
-    "e12": lambda: (run_deserialize_ablation(), run_crypto_ablation()),
-    "e13": lambda: run_telemetry_breakdown(),
-    "e14": lambda: (run_throughput(), run_lauberhorn_scaling()),
-    "e15": lambda: run_load_sweep(),
-    "e16": lambda: run_iommu_tax(),
-    "e17": lambda: run_serverless(),
-    "e18": lambda: run_sensitivity(),
-    "e19": lambda: run_fault_sweep(),
-    "e20": lambda: run_obs_attribution(),
-    "e21": lambda: run_timeline(),
-    "e22": lambda: run_control(),
-    "e23": lambda: run_fleet(),
-    "e24": lambda: run_tenancy(),
-    "e25": lambda: run_slo(),
-}
-
-EXPERIMENTS = {
-    name: (EXPERIMENT_SPECS[name].title, _SERIAL[name])
-    for name in EXPERIMENT_SPECS
-}
+__all__ = ["main"]
 
 
 def _print_timings(outcome, cache) -> None:
@@ -124,6 +63,7 @@ def main(argv: list[str] | None = None) -> int:
     root_seed = 0
     use_cache = True
     show_timings = False
+    fault_spec = None
     names: list[str] = []
 
     index = 0
@@ -154,20 +94,16 @@ def main(argv: list[str] | None = None) -> int:
             index += 1
         elif arg == "--faults":
             # Optional spec argument ("default,loss=0.05"); bare --faults
-            # means the default plan.  The plan travels to every testbed
-            # (and pool worker) via the REPRO_FAULTS env var, and is part
-            # of the result-cache key, so fault runs cache like any other
-            # (each distinct spec under its own keys).
-            spec = "default"
+            # means the default plan.
+            fault_spec = "default"
             if index + 1 < len(argv) and "=" in argv[index + 1]:
-                spec = argv[index + 1]
+                fault_spec = argv[index + 1]
                 index += 1
             try:
-                FaultPlan.from_spec(spec)
+                FaultPlan.from_spec(fault_spec)
             except ValueError as error:
                 print(f"--faults: {error}")
                 return 2
-            os.environ[ENV_VAR] = spec
             index += 1
         elif arg == "--timings":
             show_timings = True
@@ -176,16 +112,29 @@ def main(argv: list[str] | None = None) -> int:
             names.append(arg)
             index += 1
 
-    selected = [a.lower() for a in names] or list(EXPERIMENTS)
-    unknown = [name for name in selected if name not in EXPERIMENTS]
+    selected = [a.lower() for a in names] or list(EXPERIMENT_SPECS)
+    unknown = [name for name in selected if name not in EXPERIMENT_SPECS]
     if unknown:
         print(f"unknown experiments: {', '.join(unknown)}")
-        print(f"available: {', '.join(EXPERIMENTS)}")
+        print(f"available: {', '.join(EXPERIMENT_SPECS)}")
         return 2
 
     cache = ResultCache() if use_cache else None
-    outcome = run_experiments(selected, jobs=jobs, cache=cache,
-                              root_seed=root_seed)
+    # The plan travels to every testbed (and pool worker) via the
+    # REPRO_FAULTS env var for the length of the run, and is part of
+    # the result-cache key, so fault runs cache like any other (each
+    # distinct spec under its own keys).
+    previous = os.environ.get(ENV_VAR)
+    if fault_spec is not None:
+        os.environ[ENV_VAR] = fault_spec
+    try:
+        outcome = run_experiments(selected, jobs=jobs, cache=cache,
+                                  root_seed=root_seed)
+    finally:
+        if previous is None:
+            os.environ.pop(ENV_VAR, None)
+        else:
+            os.environ[ENV_VAR] = previous
 
     if show_timings:
         _print_timings(outcome, cache)

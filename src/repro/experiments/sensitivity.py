@@ -21,13 +21,17 @@ from ..nic.lauberhorn import EndpointKind
 from ..os.nicsched import lauberhorn_user_loop
 from ..rpc.server import bypass_worker
 from ..sim.clock import MS
+from .grid import Grid
 from .report import fmt_ns, print_table
 from .testbed import build_bypass_testbed, build_lauberhorn_testbed
 
-__all__ = ["SensitivityPoint", "lauberhorn_rtt_at", "bypass_baseline_rtt",
-           "assemble_sensitivity", "render_sensitivity", "run_sensitivity"]
+__all__ = ["GRID", "SensitivityPoint", "lauberhorn_rtt_at",
+           "bypass_baseline_rtt", "assemble_sensitivity",
+           "render_sensitivity", "run_sensitivity"]
 
 HANDLER_COST = 500
+#: coherent-link one-way latencies swept, in ns
+ONE_WAY_SWEEP = (125, 250, 350, 500, 700, 1000, 1400)
 
 
 @dataclass(frozen=True)
@@ -142,7 +146,7 @@ def render_sensitivity(
 
 
 def run_sensitivity(
-    one_way_sweep=(125, 250, 350, 500, 700, 1000, 1400),
+    one_way_sweep=ONE_WAY_SWEEP,
     verbose: bool = True,
 ) -> tuple[list[SensitivityPoint], Optional[float]]:
     bypass_rtt = bypass_baseline_rtt()
@@ -154,3 +158,22 @@ def run_sensitivity(
     if verbose:
         render_sensitivity(points, break_even)
     return points, break_even
+
+
+def _assemble(values: list, smoke: bool):
+    points, break_even = assemble_sensitivity(
+        ONE_WAY_SWEEP, values[1:], values[0]
+    )
+    render_sensitivity(points, break_even)
+    return points, break_even
+
+
+GRID = Grid(
+    name="e18", title="Sensitivity — coherent-link latency",
+    points=(("bypass", "sensitivity:bypass_baseline_rtt", {}),) + tuple(
+        (f"lauberhorn@{one_way}", "sensitivity:lauberhorn_rtt_at",
+         {"one_way_ns": float(one_way)})
+        for one_way in ONE_WAY_SWEEP
+    ),
+    assemble=_assemble,
+)

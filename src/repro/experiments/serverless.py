@@ -28,14 +28,16 @@ from ..rpc.server import linux_udp_worker
 from ..sim.clock import MS
 from ..workloads.generator import Target
 from ..workloads.trace_replay import TraceReplayer, generate_trace
+from .grid import Grid, rendered
 from .report import fmt_ns, print_table
 from .testbed import build_lauberhorn_testbed, build_linux_testbed
 
-__all__ = ["ServerlessResult", "measure_serverless_stack",
+__all__ = ["GRID", "ServerlessResult", "measure_serverless_stack",
            "render_serverless", "run_serverless"]
 
 HANDLER_COST = 2000  # a small function body
 BASE_PORT = 9000
+STACKS = ("linux", "lauberhorn")
 
 
 @dataclass(frozen=True)
@@ -146,7 +148,7 @@ def run_serverless(
     results = [
         measure_serverless_stack(stack, n_functions, n_serving, duration_ms,
                                  rate_per_sec, seed)
-        for stack in ("linux", "lauberhorn")
+        for stack in STACKS
     ]
     if verbose:
         render_serverless(results, n_serving)
@@ -169,3 +171,14 @@ def render_serverless(
         title=f"Serverless consolidation — {n_functions} functions, "
               f"{n_serving} serving cores, Zipf+bursty trace",
     )
+
+
+GRID = Grid(
+    name="e17", title="Serverless consolidation trace",
+    points=tuple(
+        (stack, "serverless:measure_serverless_stack", {"stack": stack})
+        for stack in STACKS
+    ),
+    assemble=rendered(ServerlessResult, render_serverless),
+    seeded=True,
+)

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-__all__ = ["percentile", "LatencySummary", "LatencyRecorder"]
+__all__ = ["nearest_rank", "percentile", "LatencySummary", "LatencyRecorder"]
 
 
 def percentile(sorted_samples: Sequence[float], p: float) -> float:
@@ -27,6 +27,18 @@ def percentile(sorted_samples: Sequence[float], p: float) -> float:
         return sorted_samples[low]
     frac = rank - low
     return sorted_samples[low] * (1 - frac) + sorted_samples[high] * frac
+
+
+def nearest_rank(samples: Iterable[float], q: float) -> float:
+    """Nearest-rank quantile: the ``int(q * n)``-th smallest sample.
+
+    ``q`` in [0, 1]; 0.0 for no samples.  Unlike :func:`percentile`
+    it never interpolates, so the answer is always one of the samples.
+    """
+    ordered = sorted(samples)
+    if not ordered:
+        return 0.0
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,8 @@ from __future__ import annotations
 import re
 from typing import Any, Iterable, Optional
 
+from ..metrics.histogram import nearest_rank
+
 __all__ = ["STATE_PATTERNS", "slow_roots", "slow_roots_by_group",
            "tail_report", "render_tail_report"]
 
@@ -51,12 +53,6 @@ def metric_host(name: str) -> Optional[str]:
     return match.group(1) if match else None
 
 
-def _percentile_threshold(values: list[float], quantile: float) -> float:
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(quantile * len(ordered)))
-    return ordered[index]
-
-
 def slow_roots(recorder, quantile: float = 0.999) -> list:
     """Finished root spans at or above the ``quantile`` duration.
 
@@ -66,8 +62,7 @@ def slow_roots(recorder, quantile: float = 0.999) -> list:
     roots = [span for span in recorder.roots() if span.finished]
     if not roots:
         return []
-    threshold = _percentile_threshold(
-        [span.duration_ns for span in roots], quantile)
+    threshold = nearest_rank([span.duration_ns for span in roots], quantile)
     slow = [span for span in roots if span.duration_ns >= threshold]
     slow.sort(key=lambda span: (-span.duration_ns, span.trace_id))
     return slow
@@ -191,8 +186,7 @@ def tail_report(
     report: dict[str, Any] = {
         "quantile": quantile,
         "n_requests": len(roots),
-        "threshold_ns": (_percentile_threshold(durations, quantile)
-                         if durations else 0.0),
+        "threshold_ns": nearest_rank(durations, quantile),
         "n_slow": len(slow),
         "truncated": truncated,
         "requests": requests,

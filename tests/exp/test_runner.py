@@ -1,10 +1,13 @@
 """End-to-end runner behavior: CLI flags, parity, cache reuse."""
 
 import json
+import os
 
 from repro.exp.cache import ResultCache
 from repro.exp.jobs import EXPERIMENT_SPECS, run_experiments
-from repro.experiments.run_all import EXPERIMENTS, main
+from repro.experiments import run_all
+from repro.experiments.run_all import main
+from repro.faults.context import ENV_VAR, active_plan
 
 FAST = ["e7", "e18"]  # sub-second experiments: one monolithic, one sweep
 
@@ -18,7 +21,6 @@ def _tables(text: str) -> str:
 
 def test_registry_covers_all_experiments():
     assert list(EXPERIMENT_SPECS) == [f"e{i}" for i in range(1, 26)]
-    assert list(EXPERIMENTS) == list(EXPERIMENT_SPECS)
     for name, spec in EXPERIMENT_SPECS.items():
         jobs = spec.build_jobs(0)
         assert jobs, name
@@ -41,6 +43,25 @@ def test_flag_value_errors():
     assert main(["--jobs"]) == 2
     assert main(["--jobs", "two"]) == 2
     assert main(["--json"]) == 2
+
+
+def test_faults_flag_is_scoped_to_the_run(monkeypatch):
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(os.environ.get(ENV_VAR))
+        return run_experiments(*args, **kwargs)
+
+    monkeypatch.setattr(run_all, "run_experiments", spy)
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    assert main(["e7", "--faults", "--no-cache"]) == 0
+    assert ENV_VAR not in os.environ
+    assert active_plan() is None
+    monkeypatch.setenv(ENV_VAR, "loss=0.01")
+    assert main(["e7", "--faults", "stall=0.02", "--no-cache"]) == 0
+    assert os.environ[ENV_VAR] == "loss=0.01"
+    # pool workers inherit the plan through the environment
+    assert seen == ["default", "stall=0.02"]
 
 
 def test_json_includes_timings(tmp_path, capsys):

@@ -6,21 +6,22 @@ import json
 import pytest
 
 from repro.experiments.e22_control import (
+    CONTROL_ARTIFACT,
     POLICY_SPECS,
+    ControlCell,
     measure_adaptive_mix,
     render_control,
-    run_control,
     validate_control_payload,
     write_control_artifact,
 )
 
 
 @pytest.fixture(scope="module")
-def smoke(tmp_path_factory):
+def smoke(smoke_run):
     """One CI-sized run: lauberhorn under the storm plan, every policy."""
-    path = tmp_path_factory.mktemp("e22") / "e22_control.json"
-    cells = run_control(verbose=False, smoke=True, artifact_path=str(path))
-    return cells, path
+    value, root = smoke_run("e22")
+    cells = [ControlCell(**cell) for cell in value["cells"]]
+    return cells, root / CONTROL_ARTIFACT
 
 
 def test_smoke_covers_every_policy(smoke):

@@ -7,23 +7,24 @@ import pytest
 
 from repro.exp.pool import jsonable
 from repro.experiments.e23_fleet import (
+    FLEET_ARTIFACT,
     SECTIONS,
+    FleetCell,
     _flow_requests,
     cell_labels,
     measure_fleet_cell,
     render_fleet,
-    run_fleet,
     validate_fleet_payload,
     write_fleet_artifact,
 )
 
 
 @pytest.fixture(scope="module")
-def smoke(tmp_path_factory):
+def smoke(smoke_run):
     """The CI-sized run: one fleet cell per headline section."""
-    path = tmp_path_factory.mktemp("e23") / "e23_fleet.json"
-    cells = run_fleet(verbose=False, smoke=True, artifact_path=str(path))
-    return cells, path
+    value, root = smoke_run("e23")
+    cells = [FleetCell(**cell) for cell in value]
+    return cells, root / FLEET_ARTIFACT
 
 
 def test_smoke_cells_complete_cleanly(smoke):

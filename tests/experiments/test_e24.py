@@ -10,10 +10,11 @@ from repro.exp.golden import golden_digest
 from repro.exp.pool import jsonable
 from repro.experiments.e24_tenancy import (
     SECTIONS,
+    TENANCY_ARTIFACT,
+    TenancyCell,
     cell_labels,
     measure_single_cell,
     render_tenancy,
-    run_tenancy,
     validate_tenancy_payload,
     write_tenancy_artifact,
 )
@@ -22,11 +23,11 @@ HASHES = Path(__file__).parents[1] / "golden" / "hashes.json"
 
 
 @pytest.fixture(scope="module")
-def smoke(tmp_path_factory):
+def smoke(smoke_run):
     """The CI-sized run: solo + the 2-tenant storm headline pair."""
-    path = tmp_path_factory.mktemp("e24") / "e24_tenancy.json"
-    cells = run_tenancy(verbose=False, smoke=True, artifact_path=str(path))
-    return cells, path
+    value, root = smoke_run("e24")
+    cells = [TenancyCell(**cell) for cell in value]
+    return cells, root / TENANCY_ARTIFACT
 
 
 def test_smoke_cells_complete_cleanly(smoke):

@@ -6,17 +6,17 @@ from pathlib import Path
 import pytest
 
 from repro.exp.golden import golden_digest
-from repro.experiments.e25_slo import run_slo, write_slo_artifact
+from repro.experiments.e25_slo import SLO_ARTIFACT, SloCell, write_slo_artifact
 
 HASHES = Path(__file__).parents[1] / "golden" / "hashes.json"
 
 
 @pytest.fixture(scope="module")
-def payload(tmp_path_factory):
+def payload(smoke_run):
     """The CI-sized run (tight calm + storm pair), as its artifact."""
-    cells = run_slo(verbose=False, smoke=True)
-    path = tmp_path_factory.mktemp("e25") / "e25_slo.json"
-    return write_slo_artifact(cells, str(path))
+    value, root = smoke_run("e25")
+    cells = [SloCell(**cell) for cell in value]
+    return write_slo_artifact(cells, str(root / SLO_ARTIFACT))
 
 
 def test_smoke_artifact_matches_digest_pin(payload):

@@ -13,6 +13,7 @@ from repro.metrics import (
     machine_energy,
     percentile,
 )
+from repro.metrics.histogram import nearest_rank
 
 
 def test_percentile_simple():
@@ -31,6 +32,32 @@ def test_percentile_errors():
         percentile([], 50)
     with pytest.raises(ValueError):
         percentile([1.0], 120)
+
+
+def _old_nearest_rank(samples, q):
+    """Reference: the nearest-rank index expression, written out."""
+    ordered = sorted(samples)
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
+
+
+QUANTILES = (0.0, 0.5, 0.99, 0.999, 1.0)
+
+
+def test_nearest_rank_edges():
+    for q in QUANTILES:
+        assert nearest_rank([], q) == 0.0
+        assert nearest_rank([7.5], q) == 7.5
+        assert nearest_rank([3.0, 3.0, 3.0], q) == 3.0
+    assert nearest_rank([4.0, 1.0, 3.0, 2.0], 0.5) == 3.0  # never averaged
+    assert nearest_rank(iter([2.0, 1.0]), 1.0) == 2.0
+
+
+@given(st.lists(st.floats(min_value=0, max_value=1e9), min_size=1,
+                max_size=300)
+       | st.lists(st.sampled_from([1.0, 2.0, 5.0]), min_size=1, max_size=50),
+       st.sampled_from(QUANTILES) | st.floats(min_value=0, max_value=1))
+def test_nearest_rank_matches_the_old_expression(samples, q):
+    assert nearest_rank(samples, q) == _old_nearest_rank(samples, q)
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1e9), min_size=1, max_size=200))

@@ -39,16 +39,17 @@ sys.path.insert(0, str(REPO / "perfbench"))
 
 from repro.exp.golden import HASHED_EXPERIMENTS, golden_digest  # noqa: E402
 from repro.exp.jobs import run_experiments  # noqa: E402
-from repro.experiments import e24_tenancy, e25_slo  # noqa: E402
+from repro.experiments.e24_tenancy import TENANCY_ARTIFACT  # noqa: E402
+from repro.experiments.e25_slo import SLO_ARTIFACT  # noqa: E402
 from scenarios import WORKLOADS as PERFBENCH_WORKLOADS  # noqa: E402
 
 GOLDEN_DIR = REPO / "tests" / "golden"
 GOLDEN_EXPERIMENTS = tuple(f"e{i}" for i in range(1, 19))
 #: smoke-sized runs pinned by the digest of the artifact they write:
-#: pin name -> (runner, artifact writer)
+#: pin name -> (experiment, artifact path)
 SMOKE_RUNS = {
-    "e24_smoke": (e24_tenancy.run_tenancy, e24_tenancy.write_tenancy_artifact),
-    "e25_smoke": (e25_slo.run_slo, e25_slo.write_slo_artifact),
+    "e24_smoke": ("e24", TENANCY_ARTIFACT),
+    "e25_smoke": ("e25", SLO_ARTIFACT),
 }
 #: the seed the perfbench workload pins are recorded at
 PERFBENCH_SEED = 1
@@ -84,14 +85,16 @@ def regenerate_hashes() -> int:
             with redirect_stdout(tables):
                 outcome = run_experiments(list(HASHED_EXPERIMENTS), jobs=1,
                                           cache=None, root_seed=0)
+                smoke = run_experiments(
+                    [name for name, _path in SMOKE_RUNS.values()], jobs=1,
+                    cache=None, root_seed=0, smoke=True)
             smoke_pins = {
-                name: golden_digest(
-                    write(run(verbose=False, smoke=True), f"{name}.json"))
-                for name, (run, write) in SMOKE_RUNS.items()
+                pin: golden_digest(json.loads(pathlib.Path(path).read_text()))
+                for pin, (_name, path) in SMOKE_RUNS.items()
             }
         finally:
             os.chdir(keep)
-    if outcome.failed:
+    if outcome.failed or smoke.failed:
         sys.stdout.write(tables.getvalue())
         print("experiment failures; hashes NOT written", file=sys.stderr)
         return 1
