@@ -33,7 +33,7 @@ def install_tenancy_checks(reg: CheckRegistry, nic) -> None:
     table = nic.tenants
     if table is None:
         raise ValueError("install_tenancy_checks needs a tenanted NIC")
-    dwrr = nic._tenant_backlog
+    dwrr = nic.backlog
 
     # -- conservation -----------------------------------------------------
 

@@ -7,8 +7,10 @@ wire side, and exposes:
 * ``transmit(frame, core)`` — the CPU-side submit path (what the
   kernel/driver or user-space PMD pays to hand a frame to the device);
 * an internal RX loop simulation process that models the device
-  pipeline and delivers frames host-side by whatever mechanism the
-  flavour uses (IRQ+ring, user-polled ring, or coherent cache lines).
+  pipeline — a shared front end (receive, fault hook, parse + demux)
+  then the flavour's ``_rx_frame`` — and delivers frames host-side by
+  whatever mechanism the flavour uses (IRQ+ring, user-polled ring, or
+  coherent cache lines).
 """
 
 from __future__ import annotations
@@ -108,9 +110,29 @@ class BaseNic:
             "txq_depth": len(self._tx_engine),
         })
 
+    # -- wire-side RX front end -------------------------------------------------
+
+    def _rx_loop(self):
+        """Receive, count, fault-check and span each frame, wait out
+        header parse + demux, then hand it to :meth:`_rx_frame`."""
+        while True:
+            frame = yield from self.port.receive()
+            self.stats.rx_frames += 1
+            if self.rx_fault is not None:
+                yield from self.rx_fault()
+            obs = self.obs
+            ctx = frame.peek_meta("obs") if obs is not None else None
+            if ctx is not None:
+                obs.record("wire.req", "net", ctx, frame.born_ns, self.sim.now)
+            rx_start_ns = self.sim.now
+            yield self.sim.timeout(self.params.parse_ns + self.params.demux_ns)
+            yield from self._rx_frame(frame, ctx, rx_start_ns)
+
     # -- subclass responsibilities ------------------------------------------------
 
-    def _rx_loop(self):  # pragma: no cover - abstract
+    def _rx_frame(self, frame: Frame, ctx, rx_start_ns: float):  # pragma: no cover - abstract
+        """The flavour's receive pipeline for one demuxed frame (a
+        generator); ``ctx`` is its span context, None when unarmed."""
         raise NotImplementedError
 
     def transmit(self, frame: Frame, core):  # pragma: no cover - abstract

@@ -21,7 +21,6 @@ energy, O(1) events.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..hw.machine import Machine
 from ..net.headers import HeaderError
@@ -44,11 +43,6 @@ class BypassQueue:
     gate: Gate
     ring: list[Frame] = field(default_factory=list)
     drops: int = 0
-
-    def try_pop(self) -> Optional[Frame]:
-        if self.ring:
-            return self.ring.pop(0)
-        return None
 
 
 class BypassNic(BaseNic):
@@ -88,30 +82,19 @@ class BypassNic(BaseNic):
 
     # -- receive path -------------------------------------------------------
 
-    def _rx_loop(self):
-        while True:
-            frame = yield from self.port.receive()
-            self.stats.rx_frames += 1
-            if self.rx_fault is not None:
-                yield from self.rx_fault()
-            obs = self.obs
-            ctx = frame.peek_meta("obs") if obs is not None else None
-            if ctx is not None:
-                obs.record("wire.req", "net", ctx, frame.born_ns, self.sim.now)
-            rx_start_ns = self.sim.now
-            yield self.sim.timeout(self.params.parse_ns + self.params.demux_ns)
-            queue = self._classify(frame)
-            if len(queue.ring) >= queue.capacity:
-                queue.drops += 1
-                self.stats.rx_dropped += 1
-                continue
-            yield from self.link.dma_write(len(frame.data))
-            yield from self.link.dma_write(self.params.descriptor_bytes)
-            queue.ring.append(frame)
-            if ctx is not None:
-                obs.record("nic.rx", "nic", ctx, rx_start_ns, self.sim.now,
-                           queue=queue.index)
-            queue.gate.open()
+    def _rx_frame(self, frame: Frame, ctx, rx_start_ns: float):
+        queue = self._classify(frame)
+        if len(queue.ring) >= queue.capacity:
+            queue.drops += 1
+            self.stats.rx_dropped += 1
+            return
+        yield from self.link.dma_write(len(frame.data))
+        yield from self.link.dma_write(self.params.descriptor_bytes)
+        queue.ring.append(frame)
+        if ctx is not None:
+            self.obs.record("nic.rx", "nic", ctx, rx_start_ns, self.sim.now,
+                            queue=queue.index)
+        queue.gate.open()
 
     def _classify(self, frame: Frame) -> BypassQueue:
         try:

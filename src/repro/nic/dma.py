@@ -94,50 +94,38 @@ class DmaNic(BaseNic):
 
     # -- receive path -----------------------------------------------------------
 
-    def _rx_loop(self):
-        while True:
-            frame = yield from self.port.receive()
-            self.stats.rx_frames += 1
-            if self.rx_fault is not None:
-                yield from self.rx_fault()
-            obs = self.obs
-            ctx = frame.peek_meta("obs") if obs is not None else None
-            if ctx is not None:
-                obs.record("wire.req", "net", ctx, frame.born_ns, self.sim.now)
-            rx_start_ns = self.sim.now
-            # Device pipeline: header decode + RSS demux.
-            yield self.sim.timeout(self.params.parse_ns + self.params.demux_ns)
-            queue = self._classify(frame)
-            if queue.depth >= queue.capacity:
-                queue.drops += 1
-                self.stats.rx_dropped += 1
-                continue
-            # DMA payload then completion descriptor into host memory.
-            yield from self.link.dma_write(len(frame.data))
-            yield from self.link.dma_write(self.params.descriptor_bytes)
-            queue.completed.append(frame)
-            if ctx is not None:
-                obs.record("nic.rx", "nic", ctx, rx_start_ns, self.sim.now,
-                           queue=queue.index)
-            if queue.irq_enabled and self.kernel is not None:
-                queue.irq_enabled = False
-                if self.irq_coalesce_ns > 0:
-                    # Moderation hold-off runs device-side (off the RX
-                    # pipeline): completions landing in the gap ride
-                    # the same interrupt — their descriptors are
-                    # already in ``queue.completed`` when the NAPI
-                    # poll finally runs.  Guarded so the 0 default
-                    # takes the exact pre-existing inline path.
-                    self.sim.process(self._raise_coalesced(queue),
-                                     name=f"{self.name}-coalesce")
-                else:
-                    yield from self.link.raise_interrupt(
-                        self.params.interrupt_raise_ns)
-                    self.kernel.deliver_irq(
-                        queue.core_id,
-                        Irq(name=f"{self.name}-rxq{queue.index}",
-                            handler=self._napi_poll(queue)),
-                    )
+    def _rx_frame(self, frame: Frame, ctx, rx_start_ns: float):
+        queue = self._classify(frame)
+        if queue.depth >= queue.capacity:
+            queue.drops += 1
+            self.stats.rx_dropped += 1
+            return
+        # DMA payload then completion descriptor into host memory.
+        yield from self.link.dma_write(len(frame.data))
+        yield from self.link.dma_write(self.params.descriptor_bytes)
+        queue.completed.append(frame)
+        if ctx is not None:
+            self.obs.record("nic.rx", "nic", ctx, rx_start_ns, self.sim.now,
+                            queue=queue.index)
+        if queue.irq_enabled and self.kernel is not None:
+            queue.irq_enabled = False
+            if self.irq_coalesce_ns > 0:
+                # Moderation hold-off runs device-side (off the RX
+                # pipeline): completions landing in the gap ride the
+                # same interrupt — their descriptors are already in
+                # ``queue.completed`` when the NAPI poll finally runs.
+                # Guarded so the 0 default takes the exact pre-existing
+                # inline path.
+                self.sim.process(self._raise_coalesced(queue),
+                                 name=f"{self.name}-coalesce")
+            else:
+                yield from self.link.raise_interrupt(
+                    self.params.interrupt_raise_ns)
+                self.kernel.deliver_irq(
+                    queue.core_id,
+                    Irq(name=f"{self.name}-rxq{queue.index}",
+                        handler=self._napi_poll(queue)),
+                )
 
     def _classify(self, frame: Frame) -> RxQueue:
         try:

@@ -25,6 +25,7 @@ from typing import Any, Optional
 from ...hw.address import Region
 from ...rpc.service import ServiceDef
 from ...sim.engine import Event
+from ...tenancy import TenantSpec
 
 __all__ = ["EndpointKind", "InflightRequest", "PendingRequest", "Endpoint"]
 
@@ -50,6 +51,9 @@ class PendingRequest:
     born_ns: float
     arrived_ns: float
     meta: dict = field(default_factory=dict)
+    #: owning tenant's TenantSpec, resolved at demux; None for
+    #: continuation replies, which no tenant is charged for
+    tenant: Optional[TenantSpec] = None
 
 
 @dataclass
@@ -127,9 +131,13 @@ class Endpoint:
     def armed(self) -> bool:
         return self.parked is not None
 
-    @property
-    def armed_parity(self) -> Optional[int]:
-        return self.parked[1] if self.parked else None
+    def unpark(self) -> tuple[int, int, Event]:
+        """Take the parked fill, bumping the generation so its Tryagain
+        timer goes stale."""
+        parked = self.parked
+        self.parked = None
+        self.generation += 1
+        return parked
 
     def parity_of(self, addr: int) -> int:
         """Which CONTROL line an address belongs to (0 or 1)."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from ...hw.coherence import FillResponse, HomeDevice
 from ...hw.machine import Machine
@@ -38,6 +38,7 @@ from ...obs.spans import public_meta
 from ...rpc.message import RpcError, RpcMessage, RpcType
 from ...rpc.service import ServiceDef, ServiceRegistry
 from ...sim.engine import Event
+from ...tenancy import DeficitRoundRobin, TenantSpec, TenantTable
 from ..base import BaseNic
 from . import wire
 from .endpoint import Endpoint, EndpointKind, InflightRequest, PendingRequest
@@ -94,10 +95,10 @@ class LauberhornNic(BaseNic, HomeDevice):
         self.ip = ip
         self.default_n_aux = n_aux
         self.dma_threshold_bytes = dma_threshold_bytes
-        #: response-direction threshold; None -> same as requests.
+        #: response-direction threshold, the request one unless set.
         #: (Separable so experiments can force one direction's
         #: mechanism without perturbing the other.)
-        self.response_dma_threshold_bytes: Optional[int] = None
+        self.response_dma_threshold_bytes = dma_threshold_bytes
         self.backlog_capacity = backlog_capacity
         self.preempt_on_backlog = preempt_on_backlog
         self.tryagain_timeout_ns = (
@@ -114,7 +115,6 @@ class LauberhornNic(BaseNic, HomeDevice):
         self._service_endpoints: dict[int, list[Endpoint]] = {}
         self._kernel_endpoints: list[Endpoint] = []
         self._service_pid: dict[int, int] = {}
-        self.global_backlog: list[PendingRequest] = []
         self.sched = SchedTable()
         self.load = LoadStats()
         self.lstats = LauberhornStats()
@@ -128,12 +128,19 @@ class LauberhornNic(BaseNic, HomeDevice):
         self._cont_service = ServiceDef(
             service_id=0, name="<continuation>", udp_port=0
         )
-        #: OS hooks called when a request has no runnable target
-        self.attention_hooks: list[Callable[[int, int], None]] = []
-        #: optional multi-tenant isolation state (:mod:`repro.tenancy`);
-        #: None means the exact historical single-tenant behaviour
+        #: the attached :class:`repro.tenancy.TenantTable`, or None.
+        #: Only what exposes tenancy reads it (metric probes, invariant
+        #: checks, span tags); the data path charges ``_table``, which
+        #: an unattached NIC keeps private, every service falling into
+        #: its ``_default`` tenant.
         self.tenants = None
-        self._tenant_backlog = None
+        self._table = TenantTable()
+        #: requests no end-point has taken yet: one FIFO per tenant
+        #: under deficit-weighted round-robin, so a single tenant's
+        #: queue is a plain FIFO
+        self.backlog = DeficitRoundRobin()
+        #: service id -> TenantSpec, memoised at first use
+        self._specs: dict[int, TenantSpec] = {}
 
     # -- configuration -------------------------------------------------------
 
@@ -154,70 +161,51 @@ class LauberhornNic(BaseNic, HomeDevice):
                     "register_service(tenant=...) requires attach_tenants() "
                     "first")
             self.tenants.assign(service.service_id, tenant)
+        self._specs.clear()
 
     def attach_tenants(self, table) -> None:
-        """Install a :class:`repro.tenancy.TenantTable`: demux starts
-        charging per-tenant, the global backlog becomes per-tenant
-        queues under deficit-weighted round-robin, and token-bucket
-        rate limits police admission.  Must happen before traffic."""
-        from ...tenancy import DeficitRoundRobin
-
-        if self.global_backlog:
+        """Install a :class:`repro.tenancy.TenantTable` in place of the
+        private one: demux charges its tenants, the global backlog
+        arbitrates between their queues by weight, token-bucket rate
+        limits police admission, and the table's ledger is exposed to
+        metrics, invariant checks and span tags.  Must happen before
+        traffic."""
+        if self.stats.rx_frames:
             raise RuntimeError("attach_tenants() before traffic starts")
-        self.tenants = table
-        self._tenant_backlog = DeficitRoundRobin()
+        self.tenants = self._table = table
+        self.backlog = DeficitRoundRobin()
+        self._specs.clear()
         for spec in table:
-            self._tenant_backlog.add_tenant(spec.tenant_id, spec.weight)
+            self.backlog.add_tenant(spec.tenant_id, spec.weight)
 
-    # -- tenant accounting (every path below is unreachable until
-    #    attach_tenants is called; the untenanted fast path never pays) --
+    # -- tenant accounting ------------------------------------------------------
 
-    def _tenant_of(self, service: ServiceDef):
-        """Spec of the tenant owning ``service``; None on the untenanted
-        path and for the continuation pseudo-service."""
-        if self.tenants is None or service is self._cont_service:
+    def _tenant_of(self, service: ServiceDef) -> TenantSpec:
+        """Spec of the tenant owning ``service`` (never the continuation
+        pseudo-service).  The first lookup gives the tenant its slot in
+        the DWRR ring, so ring order is first-use order."""
+        try:
+            return self._specs[service.service_id]
+        except KeyError:
+            spec = self._table.tenant_for_service(service.service_id)
+            self.backlog.add_tenant(spec.tenant_id, spec.weight)
+            self._specs[service.service_id] = spec
+            return spec
+
+    def _ledger(self, ep: Endpoint):
+        """Ledger charged for CPU traffic on ``ep``: its service's
+        tenant's, or None for kernel and continuation end-points."""
+        if ep.service is None or ep.service is self._cont_service:
             return None
-        spec = self.tenants.tenant_for_service(service.service_id)
-        self._tenant_backlog.add_tenant(spec.tenant_id, spec.weight)
-        return spec
+        return self._table.stats[self._tenant_of(ep.service).tenant_id]
 
-    def _tenant_stats(self, service: ServiceDef):
-        spec = self._tenant_of(service)
-        if spec is None:
-            return None
-        return self.tenants.stats[spec.tenant_id]
-
-    def _over_budget(self, spec) -> bool:
+    def _over_budget(self, spec: TenantSpec) -> bool:
         return (spec.ctrl_budget is not None
-                and self.tenants.stats[spec.tenant_id].held_now
+                and self._table.stats[spec.tenant_id].held_now
                 >= spec.ctrl_budget)
 
     def _tenant_dispatchable(self, tenant_id: int) -> bool:
-        return not self._over_budget(self.tenants.get(tenant_id))
-
-    def _charge_tryagain(self, ep: Endpoint) -> None:
-        if ep.service is None:
-            return
-        stats = self._tenant_stats(ep.service)
-        if stats is not None:
-            stats.tryagains += 1
-
-    def _charge_ctrl_load(self, ep: Endpoint) -> None:
-        if ep.service is None:
-            return
-        stats = self._tenant_stats(ep.service)
-        if stats is not None:
-            stats.ctrl_loads += 1
-
-    def _tenant_complete(self, service: ServiceDef) -> None:
-        spec = self._tenant_of(service)
-        if spec is None:
-            return
-        stats = self.tenants.stats[spec.tenant_id]
-        stats.completed += 1
-        stats.held_now = max(0, stats.held_now - 1)
-        if spec.ctrl_budget is not None:
-            self._budget_kick()
+        return not self._over_budget(self._table.get(tenant_id))
 
     def _budget_kick(self) -> None:
         """A CONTROL line was just released: a parked fill that was
@@ -299,11 +287,6 @@ class LauberhornNic(BaseNic, HomeDevice):
         endpoint.inflight = None
         self._continuation_pool.append(endpoint)
 
-    def add_attention_hook(self, hook: Callable[[int, int], None]) -> None:
-        """``hook(service_id, backlog_depth)`` fires when a request has
-        no armed end-point and its process is not running."""
-        self.attention_hooks.append(hook)
-
     # -- kernel-pushed scheduling state ------------------------------------------
 
     def on_context_switch(self, core_id: int, process) -> None:
@@ -330,8 +313,9 @@ class LauberhornNic(BaseNic, HomeDevice):
     def _ctrl_fill_fsm(self, ep: Endpoint, core_id: int, parity: int, event: Event) -> None:
         """React to a CPU load on CONTROL[parity] of ``ep``."""
         ep.stats.ctrl_loads += 1
-        if self.tenants is not None:
-            self._charge_ctrl_load(ep)
+        ledger = self._ledger(ep)
+        if ledger is not None:
+            ledger.ctrl_loads += 1
         inflight = ep.inflight
         if inflight is not None and parity != inflight.parity:
             # Completion signal: issue the fetch-exclusive *before*
@@ -340,11 +324,7 @@ class LauberhornNic(BaseNic, HomeDevice):
             # The invalidation takes effect now (channel ordering); the
             # data transfer and response transmission run concurrently
             # with the delivery below, keeping the pipeline full.
-            ep.inflight = None
-            self.telemetry.on_completion(inflight.request.tag, self.sim.now)
-            self._begin_response_extraction(ep, inflight)
-            if self.tenants is not None:
-                self._tenant_complete(inflight.request.service)
+            self._complete(ep, inflight)
         self._arm(ep, core_id, parity, event)
 
     def _arm(self, ep: Endpoint, core_id: int, parity: int, event: Event) -> None:
@@ -367,66 +347,48 @@ class LauberhornNic(BaseNic, HomeDevice):
         self._start_tryagain_timer(ep, ep.generation)
 
     def _next_request_for(self, ep: Endpoint) -> Optional[PendingRequest]:
-        if self.tenants is not None:
-            return self._next_request_tenanted(ep)
+        """The request ``ep``'s CPU takes next: its own backlog first,
+        then the global backlog — any tenant's work for a kernel
+        end-point, picked by deficit-weighted round-robin, or its own
+        service's for a user end-point.  A tenant holding its full
+        CONTROL-line budget takes nothing; its fill parks."""
         if ep.backlog:
-            request = ep.backlog.pop(0)
-            self._note_unqueued(request)
-            return request
-        if ep.kind is EndpointKind.KERNEL and self.global_backlog:
-            request = self.global_backlog.pop(0)
-            self._note_unqueued(request)
-            return request
-        if ep.kind is EndpointKind.USER and ep.service is not None:
-            # A user loop arming may drain requests that earlier fell
-            # back to the global queue for its service.
-            for index, queued in enumerate(self.global_backlog):
-                if queued.service.service_id == ep.service.service_id:
-                    del self.global_backlog[index]
-                    self._note_unqueued(queued)
-                    return queued
-        return None
-
-    def _next_request_tenanted(self, ep: Endpoint) -> Optional[PendingRequest]:
-        """Tenant-aware twin of :meth:`_next_request_for`: the same
-        queue-consultation order, but budget-gated and arbitrated by
-        deficit-weighted round-robin instead of global FIFO."""
-        if ep.backlog:
-            spec = self._tenant_of(ep.service) if ep.service is not None else None
+            spec = ep.backlog[0].tenant
             if spec is not None and self._over_budget(spec):
-                return None  # park: the tenant holds its full budget
+                return None
             request = ep.backlog.pop(0)
             self._note_unqueued(request)
             return request
-        if ep.kind is EndpointKind.KERNEL and len(self._tenant_backlog):
-            popped = self._tenant_backlog.pop(self._tenant_dispatchable)
-            if popped is not None:
-                _tid, request = popped
-                self._note_unqueued(request)
-                return request
+        if ep.kind is EndpointKind.KERNEL:
+            popped = self.backlog.pop(self._tenant_dispatchable)
+            if popped is None:
+                return None
+            request = popped[1]
+        elif ep.service is self._cont_service:
             return None
-        if ep.kind is EndpointKind.USER and ep.service is not None \
-                and ep.service is not self._cont_service:
+        else:
             spec = self._tenant_of(ep.service)
             if self._over_budget(spec):
                 return None
             sid = ep.service.service_id
-            request = self._tenant_backlog.steal(
+            # A user loop arming may drain requests that earlier fell
+            # back to the global backlog for its service.
+            request = self.backlog.steal(
                 spec.tenant_id,
                 lambda queued: queued.service.service_id == sid,
             )
-            if request is not None:
-                self._note_unqueued(request)
-                return request
-        return None
+            if request is None:
+                return None
+        self._note_unqueued(request)
+        return request
 
     def _note_unqueued(self, request: PendingRequest) -> None:
         load = self.load.service(request.service.service_id)
         load.backlog_now = max(0, load.backlog_now - 1)
-        if self.tenants is not None:
-            stats = self._tenant_stats(request.service)
-            if stats is not None:
-                stats.queued_now = max(0, stats.queued_now - 1)
+        spec = request.tenant
+        if spec is not None:
+            stats = self._table.stats[spec.tenant_id]
+            stats.queued_now = max(0, stats.queued_now - 1)
 
     def set_tryagain_timeout_ns(self, value: float) -> None:
         """Runtime actuation hook (:mod:`repro.ctrl`): retune the
@@ -449,9 +411,7 @@ class LauberhornNic(BaseNic, HomeDevice):
         def timed_out(_event) -> None:
             if ep.generation != generation or ep.parked is None:
                 return
-            _core, _parity, event = ep.parked
-            ep.parked = None
-            ep.generation += 1
+            _core, _parity, event = ep.unpark()
             compose = self.sim.timeout(self.params.compose_line_ns)
             compose.add_callback(
                 lambda _event: self._answer_tryagain(ep, event, "timeout"))
@@ -462,8 +422,9 @@ class LauberhornNic(BaseNic, HomeDevice):
         """Answer a fill on ``ep`` with the Tryagain line."""
         ep.stats.tryagains += 1
         self.lstats.tryagains += 1
-        if self.tenants is not None:
-            self._charge_tryagain(ep)
+        ledger = self._ledger(ep)
+        if ledger is not None:
+            ledger.tryagains += 1
         if self.flight is not None:
             self.flight.note("nic.tryagain", endpoint=ep.id, reason=reason)
         event.succeed(FillResponse(data=wire.tryagain_line(self.line_bytes)))
@@ -473,9 +434,7 @@ class LauberhornNic(BaseNic, HomeDevice):
         support, Section 5.1/5.2).  Returns False if nothing is parked."""
         if ep.parked is None:
             return False
-        _core, _parity, event = ep.parked
-        ep.parked = None
-        ep.generation += 1
+        _core, _parity, event = ep.unpark()
         self._answer_tryagain(ep, event, "preempt")
         return True
 
@@ -484,9 +443,7 @@ class LauberhornNic(BaseNic, HomeDevice):
         (Section 5.2 on non-preemptive kernels)."""
         if ep.parked is None:
             return False
-        _core, _parity, event = ep.parked
-        ep.parked = None
-        ep.generation += 1
+        _core, _parity, event = ep.unpark()
         ep.stats.retires += 1
         self.lstats.retires += 1
         event.succeed(FillResponse(data=wire.retire_line(self.line_bytes)))
@@ -579,23 +536,19 @@ class LauberhornNic(BaseNic, HomeDevice):
                     request.meta["_obs_service"] = obs.start(
                         "app", "app", ctx)
             load = self.load.service(service.service_id)
+            tstats = self._table.stats[request.tenant.tenant_id]
+            tstats.held_now += 1  # CONTROL line now held by the tenant
+            if use_dma:
+                tstats.dma_fallbacks += 1
             if ep.kind is EndpointKind.KERNEL:
                 ep.stats.kernel_dispatches += 1
                 load.delivered_kernel += 1
                 self.lstats.delivered_kernel += 1
+                tstats.delivered_kernel += 1
             else:
                 load.delivered_fast += 1
                 self.lstats.delivered_fast += 1
-            if self.tenants is not None:
-                tstats = self._tenant_stats(service)
-                if tstats is not None:
-                    tstats.held_now += 1  # CONTROL line now held by tenant
-                    if use_dma:
-                        tstats.dma_fallbacks += 1
-                    if ep.kind is EndpointKind.KERNEL:
-                        tstats.delivered_kernel += 1
-                    else:
-                        tstats.delivered_fast += 1
+                tstats.delivered_fast += 1
         event.succeed(FillResponse(data=control))
         return None
 
@@ -623,11 +576,7 @@ class LauberhornNic(BaseNic, HomeDevice):
         inflight = ep.inflight
         if inflight is None:
             return False
-        ep.inflight = None
-        self.telemetry.on_completion(inflight.request.tag, self.sim.now)
-        self._begin_response_extraction(ep, inflight)
-        if self.tenants is not None:
-            self._tenant_complete(inflight.request.service)
+        self._complete(ep, inflight)
         return True
 
     def completion_signal_op(self, ep: Endpoint):
@@ -645,15 +594,16 @@ class LauberhornNic(BaseNic, HomeDevice):
 
     # -- response extraction ------------------------------------------------------------
 
-    def _begin_response_extraction(
-        self, ep: Endpoint, inflight: InflightRequest
-    ) -> None:
-        """Claim the response lines (invalidations effective immediately,
-        by interconnect channel ordering) and spawn the timed
-        extraction + transmit tail, which overlaps with the next
-        delivery on this end-point."""
+    def _complete(self, ep: Endpoint, inflight: InflightRequest) -> None:
+        """Close ``ep``'s in-flight request: claim the response lines
+        (invalidations effective immediately, by interconnect channel
+        ordering), spawn the timed extraction + transmit tail, which
+        overlaps with the next delivery on this end-point, and release
+        the tenant's CONTROL line."""
         from ...sim.clock import bytes_time_ns
 
+        ep.inflight = None
+        self.telemetry.on_completion(inflight.request.tag, self.sim.now)
         obs = self.obs
         if obs is not None:
             service_span = inflight.request.meta.pop("_obs_service", None)
@@ -682,6 +632,13 @@ class LauberhornNic(BaseNic, HomeDevice):
             self._finish_response(ep, inflight, data, aux_payloads, wire_delay),
             name=f"{self.name}-resp-ep{ep.id}",
         )
+        spec = inflight.request.tenant
+        if spec is not None:
+            stats = self._table.stats[spec.tenant_id]
+            stats.completed += 1
+            stats.held_now = max(0, stats.held_now - 1)
+            if spec.ctrl_budget is not None:
+                self._budget_kick()
 
     def _finish_response(
         self,
@@ -740,131 +697,109 @@ class LauberhornNic(BaseNic, HomeDevice):
 
     # -- receive path --------------------------------------------------------------------
 
-    def _rx_loop(self):
-        while True:
-            frame = yield from self.port.receive()
-            self.stats.rx_frames += 1
-            if self.rx_fault is not None:
-                yield from self.rx_fault()
-            obs = self.obs
-            ctx = frame.peek_meta("obs") if obs is not None else None
-            if ctx is not None:
-                obs.record("wire.req", "net", ctx, frame.born_ns, self.sim.now)
-            rx_start_ns = self.sim.now
-            yield self.sim.timeout(self.params.parse_ns + self.params.demux_ns)
-            try:
-                parsed = parse_udp_frame(frame)
-                message = RpcMessage.unpack(parsed.payload)
-            except (HeaderError, RpcError):
+    def _rx_frame(self, frame, ctx, rx_start_ns):
+        try:
+            parsed = parse_udp_frame(frame)
+            message = RpcMessage.unpack(parsed.payload)
+        except (HeaderError, RpcError):
+            self.stats.rx_dropped += 1
+            return
+        obs = self.obs
+        rpc_type = message.header.rpc_type
+        if rpc_type is RpcType.RESPONSE:
+            endpoint = self._continuations.get(message.header.request_id)
+            if endpoint is None:
                 self.stats.rx_dropped += 1
-                continue
-            if message.header.rpc_type is RpcType.RESPONSE:
-                endpoint = self._continuations.get(message.header.request_id)
-                if endpoint is None:
-                    self.stats.rx_dropped += 1
-                    continue
-                yield self.sim.timeout(
-                    self.params.deserialize_ns_per_64b
-                    * math.ceil(max(len(message.payload), 1) / 64)
-                )
-                reply = PendingRequest(
-                    service=self._cont_service,
-                    method_id=message.header.method_id,
-                    tag=message.header.request_id,
-                    payload=message.payload,
-                    reply_ip=parsed.ip.src,
-                    reply_port=parsed.udp.src_port,
-                    reply_mac=parsed.eth.src,
-                    born_ns=frame.born_ns,
-                    arrived_ns=self.sim.now,
-                    meta=frame.copy_meta(),
-                )
-                if endpoint.armed:
-                    self._consume_parked_and_deliver(endpoint, reply)
-                else:
-                    endpoint.push_backlog(reply)
-                continue
-            if message.header.rpc_type is not RpcType.REQUEST:
-                self.stats.rx_dropped += 1
-                continue
+                return
+            service, spec = self._cont_service, None
+        elif rpc_type is RpcType.REQUEST:
             try:
                 service = self.registry.by_port(parsed.udp.dst_port)
             except KeyError:
                 self.lstats.dropped_no_service += 1
                 self.stats.rx_dropped += 1
-                continue
+                return
+            spec = self._tenant_of(service)
             # Demux is where the serving identity becomes known:
             # annotate the *root* span (its id is what rides in
             # Frame.meta["obs"]) so tail/SLO/flame forensics can group
             # by (host, tenant, service).  Gated on tag_origin so
             # armed-but-untagged runs keep their historical payloads.
-            tag = ctx is not None and obs.tag_origin
-            if tag:
+            if ctx is not None and obs.tag_origin:
                 obs.annotate(ctx, host=self.obs_host, service=service.name)
-            if self.tenants is not None:
-                # Rate-limit policing at demux time: the tenant is known
-                # (service lookup above) but the expensive pipeline
-                # stages (AEAD, deserialise) have not run yet — an
-                # over-rate frame costs only parse+demux, which is the
-                # whole point of gating admission here.
-                spec = self._tenant_of(service)
-                if tag:
+                if self.tenants is not None:
                     obs.annotate(ctx, tenant=spec.name)
-                tstats = self.tenants.stats[spec.tenant_id]
-                tstats.arrivals += 1
-                bucket = self.tenants.bucket_for(spec.tenant_id)
-                if bucket is not None and not bucket.allow(self.sim.now):
-                    tstats.rate_dropped += 1
-                    self.stats.rx_dropped += 1
-                    continue
-                tstats.admitted += 1
+            # Rate-limit policing at demux time: the tenant is known
+            # but the expensive pipeline stages (AEAD, deserialise)
+            # have not run yet — an over-rate frame costs only
+            # parse+demux, which is the whole point of gating
+            # admission here.
+            tstats = self._table.stats[spec.tenant_id]
+            tstats.arrivals += 1
+            bucket = self._table.bucket_for(spec.tenant_id)
+            if bucket is not None and not bucket.allow(self.sim.now):
+                tstats.rate_dropped += 1
+                self.stats.rx_dropped += 1
+                return
+            tstats.admitted += 1
             if service.encrypted:
                 # Inline AEAD open in the NIC pipeline (Section 6).
                 from ...net.crypto import nic_crypto_ns
 
                 yield self.sim.timeout(nic_crypto_ns(len(message.payload)))
-            # On-NIC deserialisation (Optimus-Prime-style streaming).
-            yield self.sim.timeout(
-                self.params.deserialize_ns_per_64b
-                * math.ceil(max(len(message.payload), 1) / 64)
-            )
-            self.lstats.requests_decoded += 1
-            request = PendingRequest(
-                service=service,
-                method_id=message.header.method_id,
-                tag=message.header.request_id,
-                payload=message.payload,
-                reply_ip=parsed.ip.src,
-                reply_port=parsed.udp.src_port,
-                reply_mac=parsed.eth.src,
-                born_ns=frame.born_ns,
-                arrived_ns=self.sim.now,
-                meta=frame.copy_meta(),
-            )
-            self.load.service(service.service_id).note_arrival(self.sim.now)
-            self.telemetry.on_arrival(request.tag, service.service_id, self.sim.now)
-            if ctx is not None:
-                obs.record("nic.rx", "nic", ctx, rx_start_ns, self.sim.now)
-                # Open the dispatch window; _deliver closes it (the
-                # span object travels in the request's metadata).
-                request.meta["_obs_dispatch"] = obs.start(
-                    "nic.dispatch", "nic", ctx)
-            self._dispatch_request(request)
+        else:
+            self.stats.rx_dropped += 1
+            return
+        # On-NIC deserialisation (Optimus-Prime-style streaming).
+        yield self.sim.timeout(
+            self.params.deserialize_ns_per_64b
+            * math.ceil(max(len(message.payload), 1) / 64)
+        )
+        request = PendingRequest(
+            service=service,
+            method_id=message.header.method_id,
+            tag=message.header.request_id,
+            payload=message.payload,
+            reply_ip=parsed.ip.src,
+            reply_port=parsed.udp.src_port,
+            reply_mac=parsed.eth.src,
+            born_ns=frame.born_ns,
+            arrived_ns=self.sim.now,
+            meta=frame.copy_meta(),
+            tenant=spec,
+        )
+        if service is self._cont_service:
+            # A nested call's reply, for its continuation end-point.
+            if endpoint.armed:
+                self._consume_parked_and_deliver(endpoint, request)
+            else:
+                endpoint.push_backlog(request)
+            return
+        self.lstats.requests_decoded += 1
+        self.load.service(service.service_id).note_arrival(self.sim.now)
+        self.telemetry.on_arrival(request.tag, service.service_id, self.sim.now)
+        if ctx is not None:
+            obs.record("nic.rx", "nic", ctx, rx_start_ns, self.sim.now)
+            # Open the dispatch window; _deliver closes it (the
+            # span object travels in the request's metadata).
+            request.meta["_obs_dispatch"] = obs.start(
+                "nic.dispatch", "nic", ctx)
+        self._dispatch_request(request)
 
     def _dispatch_request(self, request: PendingRequest) -> None:
         """Route a decoded request per Section 5.2's policy.
 
-        With tenants attached, direct delivery (steps 1 and 3) is
-        budget-gated — a tenant at its CONTROL-line cap can still
-        *queue* (queued work holds no lines) but cannot take another
-        line until a completion frees one — and the global overflow
-        queue (step 4) is the tenant's DWRR queue instead of the
-        shared FIFO.
+        Direct delivery (steps 1 and 3) is budget-gated: a tenant at
+        its CONTROL-line cap can still *queue* (queued work holds no
+        lines) but cannot take another line until a completion frees
+        one.  The global backlog (step 4) queues the request on its
+        tenant's DWRR queue.
         """
         service_id = request.service.service_id
         load = self.load.service(service_id)
-        spec = self._tenant_of(request.service)
-        budget_blocked = spec is not None and self._over_budget(spec)
+        spec = request.tenant
+        tstats = self._table.stats[spec.tenant_id]
+        budget_blocked = self._over_budget(spec)
 
         # 1. Fast path: a user-mode loop is stalled on this service's lines.
         if not budget_blocked:
@@ -883,8 +818,7 @@ class LauberhornNic(BaseNic, HomeDevice):
                     load.queued += 1
                     load.backlog_now += 1
                     self.lstats.queued_endpoint += 1
-                    if spec is not None:
-                        self.tenants.stats[spec.tenant_id].queued_now += 1
+                    tstats.queued_now += 1
                     return
             # fall through when backlogs are full
 
@@ -895,37 +829,22 @@ class LauberhornNic(BaseNic, HomeDevice):
                     self._consume_parked_and_deliver(ep, request)
                     return
 
-        # 4. Nobody is waiting: queue globally and alert the OS.
-        if spec is not None:
-            if len(self._tenant_backlog) < 4096:
-                self._tenant_backlog.push(spec.tenant_id, request)
-                load.queued += 1
-                load.backlog_now += 1
-                self.lstats.queued_global += 1
-                self.tenants.stats[spec.tenant_id].queued_now += 1
-            else:
-                load.dropped += 1
-                self.lstats.dropped_backlog_full += 1
-                self.tenants.stats[spec.tenant_id].dropped += 1
-                return
-        elif len(self.global_backlog) < 4096:
-            self.global_backlog.append(request)
-            load.queued += 1
-            load.backlog_now += 1
-            self.lstats.queued_global += 1
-        else:
+        # 4. Nobody is waiting: queue globally.
+        if len(self.backlog) >= 4096:
             load.dropped += 1
             self.lstats.dropped_backlog_full += 1
+            tstats.dropped += 1
             return
-        for hook in self.attention_hooks:
-            hook(service_id, load.backlog_now)
+        self.backlog.push(spec.tenant_id, request)
+        load.queued += 1
+        load.backlog_now += 1
+        self.lstats.queued_global += 1
+        tstats.queued_now += 1
         if self.preempt_on_backlog:
             self._preempt_a_victim(service_id)
 
     def _consume_parked_and_deliver(self, ep: Endpoint, request: PendingRequest) -> None:
-        core_id, parity, event = ep.parked
-        ep.parked = None
-        ep.generation += 1
+        _core, parity, event = ep.unpark()
         self.sim.process(
             self._deliver(ep, parity, event, request),
             name=f"{self.name}-deliver-ep{ep.id}",
@@ -962,7 +881,7 @@ class LauberhornNic(BaseNic, HomeDevice):
             "reused": self.telemetry.reused,
         })
         registry.probe(f"{prefix}.backlog", lambda: {
-            "global": len(self.global_backlog),
+            "global": len(self.backlog),
             "endpoints": sum(len(ep.backlog) for ep in self.endpoints),
         })
         if self.tenants is not None:
@@ -986,12 +905,9 @@ class LauberhornNic(BaseNic, HomeDevice):
         after a run; an empty list means all clear.
         """
         problems: list[str] = []
-        if self.global_backlog:
-            problems.append(f"{len(self.global_backlog)} requests in the "
+        if len(self.backlog):
+            problems.append(f"{len(self.backlog)} requests in the "
                             "global backlog")
-        if self._tenant_backlog is not None and len(self._tenant_backlog):
-            problems.append(f"{len(self._tenant_backlog)} requests in "
-                            "tenant DWRR queues")
         for ep in self.endpoints:
             if ep.backlog:
                 problems.append(f"endpoint {ep.id}: {len(ep.backlog)} "

@@ -126,31 +126,6 @@ class TelemetryRing:
     def for_service(self, service_id: int) -> list[RpcTimeline]:
         return [t for t in self.completed if t.service_id == service_id]
 
-    def for_services(self, service_ids) -> list[RpcTimeline]:
-        """Timelines for any of a set of services — the per-tenant
-        query (a tenant owns a *set* of service ids)."""
-        wanted = set(service_ids)
-        return [t for t in self.completed if t.service_id in wanted]
-
-    def breakdown_for(self, service_ids) -> dict[str, LatencySummary]:
-        """Per-stage percentile summaries over a set of services —
-        per-tenant p99.9 attribution for the isolation experiments."""
-        timelines = self.for_services(service_ids)
-        stages = {
-            "queueing": [t.queueing_ns for t in timelines],
-            "service": [t.service_ns for t in timelines],
-            "egress": [t.egress_ns for t in timelines],
-            "total": [t.total_ns for t in timelines],
-        }
-        summaries: dict[str, LatencySummary] = {}
-        for name, samples in stages.items():
-            recorder = LatencyRecorder(name)
-            recorder.extend(s for s in samples if s is not None)
-            summary = recorder.summary_or_none()
-            if summary is not None:
-                summaries[name] = summary
-        return summaries
-
     def breakdown(self, service_id: Optional[int] = None) -> dict[str, LatencySummary]:
         """Percentile summaries of each pipeline stage."""
         timelines = (

@@ -127,13 +127,8 @@ def _serve_delivery(nic: LauberhornNic, ep: Endpoint, request_line, registry,
         ep.line_bytes - wire.RESP_INLINE_OFFSET
         + len(ep.resp_aux_addrs) * ep.line_bytes
     )
-    resp_threshold = (
-        nic.response_dma_threshold_bytes
-        if nic.response_dma_threshold_bytes is not None
-        else nic.dma_threshold_bytes
-    )
     if (len(resp_payload) > resp_line_capacity
-            or len(resp_payload) >= resp_threshold):
+            or len(resp_payload) >= nic.response_dma_threshold_bytes):
         # Large response: stage it in a host buffer for the NIC to
         # DMA-read (the response-direction twin of the Section 6
         # fallback), and hand the NIC a descriptor line.
@@ -444,10 +439,7 @@ class NicScheduler:
                 nic = scheduler.nic
                 arrivals = nic.lstats.requests_decoded - last_decoded
                 last_decoded = nic.lstats.requests_decoded
-                backlogged = (
-                    len(nic.global_backlog)
-                    + sum(load.backlog_now for load in nic.load.all())
-                )
+                backlogged = sum(load.backlog_now for load in nic.load.all())
                 parked = sum(
                     1 for handle in scheduler.dispatchers
                     if handle.endpoint.armed

@@ -12,16 +12,18 @@ every other tenant's tail.  This package is the repo's answer:
   NIC consults at demux time, *before* paying for crypto or
   deserialisation;
 * :class:`DeficitRoundRobin` — weighted-fair arbitration of queued
-  work, replacing the global backlog's FIFO when tenants are
-  configured;
+  work: the NIC's global backlog, one FIFO per tenant;
 * :class:`TenantStats` — the per-tenant charge ledger (CONTROL-line
   loads, Tryagain bounces, DMA fallbacks, rate-limit drops) surfaced
   through :class:`repro.obs.metrics.MetricsRegistry`.
 
-Nothing here is imported, installed, or consulted unless a harness
-attaches a :class:`TenantTable` to a :class:`LauberhornNic` — the
-untenanted path is byte-identical to every build that predates this
-package (enforced by the golden corpus and the E19–E23 digest pins).
+The Lauberhorn NIC always queues and charges through these parts: an
+unattached NIC keeps a private :class:`TenantTable` whose auto-created
+``_default`` tenant owns every service, and one tenant's DWRR queue is
+a plain FIFO.  Only attaching a table exposes tenancy (metric probes,
+invariant checks, span tags), so untenanted runs replay every build
+that predates this package byte for byte (enforced by the golden
+corpus and the E19–E23 digest pins).
 """
 
 from .bucket import TokenBucket

@@ -1,11 +1,11 @@
 """Deficit-weighted round-robin arbitration of queued NIC work.
 
-When a :class:`repro.tenancy.TenantTable` is attached, the NIC's
-global backlog stops being one FIFO and becomes one FIFO *per tenant*
+The Lauberhorn NIC's global backlog is one FIFO *per tenant*
 arbitrated by this scheduler: each tenant accumulates ``weight`` units
 of deficit per round and spends one unit per request served, so under
 contention tenant *i* receives a ``w_i / Σw`` share of dispatch slots
-regardless of how fast anyone else is pushing.
+regardless of how fast anyone else is pushing.  With a single tenant
+(an unattached NIC's ``_default``) it serves plain FIFO order.
 
 The scheduler also keeps the evidence for the weighted-fairness
 invariant (:mod:`repro.check.tenancy`): it tracks *contention spans* —

@@ -155,7 +155,7 @@ def test_endpoint_backlog_overflow_spills_to_kernel_queue():
     # 1 delivered (in the slow handler), 2 in the endpoint backlog, the
     # rest spilled to the global queue.
     assert len(ep.backlog) == 2
-    assert len(bed.nic.global_backlog) == 3
+    assert len(bed.nic.backlog) == 3
     assert bed.nic.lstats.queued_global == 3
     load = bed.nic.load.service(service.service_id)
     assert load.backlog_now == 5

@@ -331,7 +331,7 @@ def test_preempt_on_backlog_reclaims_idle_user_loop():
     bed.machine.run(until=5 * MS)
     assert bed.nic.lstats.preempt_requests == 1
     assert bed.nic.lstats.tryagains >= 1
-    assert len(bed.nic.global_backlog) == 1
+    assert len(bed.nic.backlog) == 1
 
 
 def test_sched_state_pushed_on_context_switch():

@@ -6,6 +6,10 @@ import pytest
 
 from repro.check import install_checks
 from repro.experiments.testbed import build_lauberhorn_testbed, deploy_service
+from repro.nic.lauberhorn import EndpointKind
+from repro.obs import arm_testbed
+from repro.obs.metrics import MetricsRegistry
+from repro.os.nicsched import lauberhorn_user_loop
 from repro.sim import MS
 from repro.tenancy import TenantTable
 from repro.workloads import OpenLoopGenerator, ServiceMix, Target
@@ -24,7 +28,7 @@ def _drive(bed, service, method, rate=100_000.0, n=60, seed=1, client=0):
 
 def test_single_budgetless_tenant_is_byte_identical():
     """Property (a): one weight-1 tenant with no budget and no rate
-    limit must take the exact historical code path — same RTT sequence,
+    limit must replay the unattached NIC exactly — same RTT sequence,
     same NIC counters, event for event."""
     plain = build_lauberhorn_testbed()
     ps, pm = deploy_service(plain, "lauberhorn")
@@ -57,7 +61,6 @@ def test_attach_refuses_mid_run():
     bed = build_lauberhorn_testbed()
     service, method = deploy_service(bed, "lauberhorn")
     _drive(bed, service, method, n=5)
-    bed.nic.global_backlog.append(object())
     with pytest.raises(RuntimeError, match="before traffic"):
         bed.nic.attach_tenants(TenantTable())
 
@@ -165,7 +168,7 @@ def test_fairness_check_has_teeth():
     deploy_service(bed, "lauberhorn", name="a", udp_port=9000, tenant="a")
     deploy_service(bed, "lauberhorn", name="b", udp_port=9100, tenant="b")
     checks = install_checks(bed)
-    dwrr = bed.nic._tenant_backlog
+    dwrr = bed.nic.backlog
     for k in range(12):
         dwrr.push(a.tenant_id, k)
         dwrr.push(b.tenant_id, k)
@@ -196,3 +199,68 @@ def test_tenant_metrics_probe_appears_only_when_tenanted():
     assert tenant_keys
     assert any(k.endswith("t.completed") and snap[k] == 8
                for k in tenant_keys)
+
+
+def test_tenanted_backlog_probe_counts_dwrr_queues():
+    """On a tenanted NIC the ``nic.backlog.global`` probe reads the
+    DWRR queues, so tail forensics see requests queued globally."""
+    bed = build_lauberhorn_testbed()
+    table = TenantTable()
+    table.create("t")
+    bed.nic.attach_tenants(table)
+    service = bed.registry.create_service("slow", udp_port=9000)
+    method = bed.registry.add_method(
+        service, "m", lambda args: list(args), cost_instructions=5_000_000)
+    process = bed.kernel.spawn_process("slow")
+    bed.nic.register_service(service, process.pid, tenant="t")
+    ep = bed.nic.create_endpoint(
+        EndpointKind.USER, service=service, backlog_capacity=2)
+    bed.kernel.spawn_thread(
+        process, lauberhorn_user_loop(bed.nic, ep, bed.registry),
+        pinned_core=0)
+    registry = MetricsRegistry()
+    bed.nic.bind_metrics(registry)
+    client = bed.clients[0]
+
+    def driver():
+        yield bed.sim.timeout(10_000)
+        for i in range(6):
+            client.send_request(
+                bed.server_mac, bed.server_ip, 9000,
+                service.service_id, method.method_id, [i])
+
+    bed.sim.process(driver())
+    bed.machine.run(until=3 * MS)
+    # 1 delivered (in the slow handler), 2 in the end-point backlog,
+    # 3 spilled to the tenant's global queue.
+    snap = registry.snapshot()
+    assert snap["nic.backlog.endpoints"] == 2
+    assert snap["nic.backlog.global"] == 3
+    assert snap["nic.tenants.t.queued_now"] == 5
+
+
+def test_unattached_nic_exposes_no_tenancy_after_traffic():
+    """An unattached NIC charges every request to a private ``_default``
+    ledger, but none of it is exposed: no tenant metric rows, no
+    tenant-* invariant checks, no tenant tag on root spans."""
+    bed = build_lauberhorn_testbed()
+    service, method = deploy_service(bed, "lauberhorn")
+    recorder = arm_testbed(bed)
+    recorder.tag_origin = True
+    registry = MetricsRegistry()
+    bed.nic.bind_metrics(registry)
+    checks = install_checks(bed)
+    checks.start(HORIZON)
+    gen = _drive(bed, service, method, n=20)
+    assert gen.completed == 20
+    assert bed.nic._table.stats_for("_default").completed == 20
+
+    assert not [k for k in registry.snapshot() if k.startswith("nic.tenant")]
+    names = {name for name, _check in checks._checks + checks._quiesce}
+    assert names
+    assert not [name for name in names if name.startswith("tenant-")]
+    roots = [root for root in recorder.roots() if root.finished]
+    assert len(roots) == 20
+    assert all(root.fields.get("service") == service.name for root in roots)
+    assert not [root for root in roots if "tenant" in root.fields]
+    assert checks.finish() == []
