@@ -30,11 +30,11 @@ def test_crypto_placement(once):
 
 
 def test_telemetry_breakdown(once):
-    telemetry = once(run_telemetry_breakdown, n_requests=20)
-    assert len(telemetry.completed) == 20
-    assert telemetry.kernel_dispatch_fraction() == 0.5
+    breakdown = once(run_telemetry_breakdown, n_requests=20)
+    assert breakdown.completed == 20
+    assert breakdown.kernel_dispatch_fraction == 0.5
     # The cold (kernel-dispatched) service shows a larger service stage
     # than the hot one — exactly the signal an operator needs.
-    hot = telemetry.breakdown(1)["service"].p50
-    cold = telemetry.breakdown(2)["service"].p50
+    hot = breakdown.services["hot"]["service"].p50_ns
+    cold = breakdown.services["cold"]["service"].p50_ns
     assert cold > hot * 1.5

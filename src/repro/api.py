@@ -141,6 +141,9 @@ class SimulatedCluster:
         self._next_core = (self._next_core + 1) % self.testbed.machine.n_cores
         return core
 
+    # The starters stay hand-rolled: a cluster service may carry several
+    # methods, and deploy_service registers exactly one.
+
     def _start_lauberhorn(self) -> None:
         bed = self.testbed
         for spec in self._services.values():

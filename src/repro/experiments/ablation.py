@@ -17,11 +17,14 @@ from ..metrics.cycles import CycleWindow
 from ..metrics.histogram import LatencyRecorder
 from ..nic.lauberhorn import EndpointKind
 from ..os.nicsched import lauberhorn_user_loop
-from ..rpc.server import linux_udp_worker
 from ..sim.clock import MS
 from ..workloads.distributions import args_for_payload
 from .report import fmt_ns, print_table
-from .testbed import build_lauberhorn_testbed, build_linux_testbed
+from .testbed import (
+    build_lauberhorn_testbed,
+    build_linux_testbed,
+    deploy_service,
+)
 
 __all__ = ["AblationRow", "run_deserialize_ablation", "run_crypto_ablation"]
 
@@ -35,6 +38,7 @@ class AblationRow:
 
 def _measure_lauberhorn(payload_bytes: int, software_unmarshal: bool,
                         encrypted: bool = False, n: int = 15) -> AblationRow:
+    # Hand-rolled: deploy_service's loop always unmarshals on the NIC.
     bed = build_lauberhorn_testbed()
     service = bed.registry.create_service(
         "svc", udp_port=9000, encrypted=encrypted
@@ -57,15 +61,9 @@ def _measure_lauberhorn(payload_bytes: int, software_unmarshal: bool,
 
 def _measure_linux(payload_bytes: int, encrypted: bool, n: int = 15) -> AblationRow:
     bed = build_linux_testbed()
-    service = bed.registry.create_service(
-        "svc", udp_port=9000, encrypted=encrypted
-    )
-    method = bed.registry.add_method(
-        service, "m", lambda args: ["ok"], cost_instructions=300
-    )
-    socket = bed.netstack.bind(9000)
-    process = bed.kernel.spawn_process("svc")
-    bed.kernel.spawn_thread(process, linux_udp_worker(socket, bed.registry))
+    service, method = deploy_service(bed, "linux", lambda args: ["ok"],
+                                     name="svc", cost_instructions=300,
+                                     encrypted=encrypted)
     return _drive(bed, service, method, payload_bytes, n,
                   config=_label("linux", False, encrypted))
 

@@ -18,13 +18,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..hw.params import ENZIAN, MachineParams
-from ..nic.lauberhorn import EndpointKind
-from ..os.nicsched import lauberhorn_user_loop
 from ..sim.clock import MS
 from ..workloads.distributions import args_for_payload
 from .grid import Grid
 from .report import fmt_ns, print_table
-from .testbed import build_lauberhorn_testbed
+from .testbed import build_lauberhorn_testbed, deploy_service
 
 __all__ = ["GRID", "CrossoverPoint", "assemble_crossover", "render_crossover",
            "run_crossover", "measure_rtt_for_size"]
@@ -61,19 +59,8 @@ def measure_rtt_for_size(
     # Only the *request* direction is being forced; tiny acks must not
     # take the response DMA staging path.
     bed.nic.response_dma_threshold_bytes = 1 << 30
-    service = bed.registry.create_service("sink", udp_port=9000)
-    method = bed.registry.add_method(
-        service, "sink", lambda args: ["ok"], cost_instructions=100
-    )
-    process = bed.kernel.spawn_process("sink")
-    bed.nic.register_service(service, process.pid)
-    endpoint = bed.nic.create_endpoint(
-        EndpointKind.USER, service=service, n_aux=n_aux
-    )
-    bed.kernel.spawn_thread(
-        process, lauberhorn_user_loop(bed.nic, endpoint, bed.registry),
-        pinned_core=0,
-    )
+    service, method = deploy_service(bed, "lauberhorn", lambda args: ["ok"],
+                                     name="sink", cost_instructions=100)
     client = bed.clients[0]
     args = args_for_payload(payload_bytes)
     rtts: list[float] = []

@@ -118,6 +118,7 @@ def _build_stack(stack: str, n_services: int, n_serving: int):
     if stack == "linux":
         bed = build_linux_testbed(n_queues=n_serving)
         targets = _make_services(bed, n_services)
+        # Hand-rolled: many services share n_serving cores round-robin.
         for index, target in enumerate(targets):
             socket = bed.netstack.bind(target.service.udp_port)
             process = bed.kernel.spawn_process(f"svc{index}")
@@ -132,6 +133,7 @@ def _build_stack(stack: str, n_services: int, n_serving: int):
         targets = _make_services(bed, n_services)
         for index, target in enumerate(targets):
             bed.nic.steer_port(target.service.udp_port, index)
+        # Hand-rolled: each PMD worker polls several services' queues.
         process = bed.kernel.spawn_process("pmd")
         for worker in range(n_serving):
             queues = [bed.nic.queues[q] for q in

@@ -17,23 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..hw.params import ENZIAN, ENZIAN_PCIE, OsCostParams
+from ..hw.params import ENZIAN, OsCostParams
 from ..metrics.cycles import CycleWindow
-from ..nic.lauberhorn import EndpointKind
-from ..os.nicsched import USER_LOOP_SW_INSTRUCTIONS, lauberhorn_user_loop
+from ..os.nicsched import USER_LOOP_SW_INSTRUCTIONS
 from ..rpc.marshal import software_unmarshal_instructions
-from ..rpc.server import (
-    RPC_HEADER_DECODE_INSTRUCTIONS,
-    USER_PARSE_INSTRUCTIONS,
-    bypass_worker,
-    linux_udp_worker,
-)
+from ..rpc.server import RPC_HEADER_DECODE_INSTRUCTIONS, USER_PARSE_INSTRUCTIONS
 from ..sim.clock import MS
 from .report import print_table
 from .testbed import (
     build_bypass_testbed,
     build_lauberhorn_testbed,
     build_linux_testbed,
+    deploy_service,
 )
 
 __all__ = ["StepRow", "step_table", "run_fig1_steps", "measure_per_request_busy"]
@@ -143,46 +138,13 @@ def measure_per_request_busy(n_requests: int = 30, handler_cost: int = 300):
     a back-to-back request train).
     """
     results = {}
-
-    bed = build_linux_testbed()
-    service = bed.registry.create_service("echo", udp_port=9000)
-    method = bed.registry.add_method(
-        service, "echo", lambda args: list(args), cost_instructions=handler_cost
-    )
-    socket = bed.netstack.bind(9000)
-    process = bed.kernel.spawn_process("echo")
-    bed.kernel.spawn_thread(process, linux_udp_worker(socket, bed.registry))
-    results["linux"] = _drive(bed, service, method, n_requests)
-
-    bed = build_bypass_testbed()
-    service = bed.registry.create_service("echo", udp_port=9000)
-    method = bed.registry.add_method(
-        service, "echo", lambda args: list(args), cost_instructions=handler_cost
-    )
-    process = bed.kernel.spawn_process("echo")
-    bed.kernel.spawn_thread(
-        process,
-        bypass_worker(bed.nic, bed.nic.queues[0], bed.user_netctx, bed.registry),
-        pinned_core=0,
-    )
-    bed.nic.steer_port(9000, 0)
-    results["bypass"] = _drive(bed, service, method, n_requests)
-
-    bed = build_lauberhorn_testbed()
-    service = bed.registry.create_service("echo", udp_port=9000)
-    method = bed.registry.add_method(
-        service, "echo", lambda args: list(args), cost_instructions=handler_cost
-    )
-    process = bed.kernel.spawn_process("echo")
-    bed.nic.register_service(service, process.pid)
-    endpoint = bed.nic.create_endpoint(EndpointKind.USER, service=service)
-    bed.kernel.spawn_thread(
-        process,
-        lauberhorn_user_loop(bed.nic, endpoint, bed.registry),
-        pinned_core=0,
-    )
-    results["lauberhorn"] = _drive(bed, service, method, n_requests)
-
+    for stack, build in (("linux", build_linux_testbed),
+                         ("bypass", build_bypass_testbed),
+                         ("lauberhorn", build_lauberhorn_testbed)):
+        bed = build()
+        service, method = deploy_service(bed, stack,
+                                         cost_instructions=handler_cost)
+        results[stack] = _drive(bed, service, method, n_requests)
     return results
 
 

@@ -25,11 +25,14 @@ from dataclasses import dataclass
 from ..metrics.cycles import CycleWindow
 from ..metrics.histogram import LatencyRecorder
 from ..nic.lauberhorn import EndpointKind
-from ..os.nicsched import NicScheduler, lauberhorn_user_loop
-from ..rpc.server import linux_udp_worker
+from ..os.nicsched import NicScheduler
 from ..sim.clock import MS
 from .report import fmt_ns, print_table
-from .testbed import build_lauberhorn_testbed, build_linux_testbed
+from .testbed import (
+    build_lauberhorn_testbed,
+    build_linux_testbed,
+    deploy_service,
+)
 
 __all__ = ["DispatchResult", "run_fig5_dispatch"]
 
@@ -46,12 +49,21 @@ class DispatchResult:
     fast_dispatches: int
 
 
-def _echo_service(bed, port=9000):
-    service = bed.registry.create_service("echo", udp_port=port)
+def _kernel_dispatched(promote: bool):
+    """Echo served by NicScheduler's parked dispatcher (hand-rolled:
+    ``deploy_service`` arms a dedicated loop instead)."""
+    bed = build_lauberhorn_testbed()
+    service = bed.registry.create_service("echo", udp_port=9000)
     method = bed.registry.add_method(
         service, "echo", lambda args: list(args), cost_instructions=HANDLER_COST
     )
-    return service, method
+    process = bed.kernel.spawn_process("echo")
+    bed.nic.register_service(service, process.pid)
+    if promote:
+        bed.nic.create_endpoint(EndpointKind.USER, service=service)
+    NicScheduler(bed.kernel, bed.nic, bed.registry, n_dispatchers=1,
+                 promote=promote)
+    return bed, service, method
 
 
 def _measure(bed, service, method, n_requests: int):
@@ -83,60 +95,28 @@ def run_fig5_dispatch(n_requests: int = 25, verbose: bool = True):
 
     # Linux dispatch loop.
     bed = build_linux_testbed()
-    service, method = _echo_service(bed)
-    socket = bed.netstack.bind(9000)
-    process = bed.kernel.spawn_process("echo")
-    bed.kernel.spawn_thread(process, linux_udp_worker(socket, bed.registry))
+    service, method = deploy_service(bed, "linux",
+                                     cost_instructions=HANDLER_COST)
     summary, cost = _measure(bed, service, method, n_requests)
     results.append(DispatchResult(
         "linux", summary.p50, summary.p99, cost.busy_ns_per_request, 0, 0,
     ))
 
-    # Lauberhorn hot: dedicated user loop armed.
-    bed = build_lauberhorn_testbed()
-    service, method = _echo_service(bed)
-    process = bed.kernel.spawn_process("echo")
-    bed.nic.register_service(service, process.pid)
-    endpoint = bed.nic.create_endpoint(EndpointKind.USER, service=service)
-    bed.kernel.spawn_thread(
-        process, lauberhorn_user_loop(bed.nic, endpoint, bed.registry),
-        pinned_core=0,
-    )
-    summary, cost = _measure(bed, service, method, n_requests)
-    results.append(DispatchResult(
-        "lauberhorn-hot", summary.p50, summary.p99,
-        cost.busy_ns_per_request,
-        bed.nic.lstats.delivered_kernel, bed.nic.lstats.delivered_fast,
-    ))
-
-    # Lauberhorn kernel dispatch (cold every request: no promotion).
-    bed = build_lauberhorn_testbed()
-    service, method = _echo_service(bed)
-    process = bed.kernel.spawn_process("echo")
-    bed.nic.register_service(service, process.pid)
-    NicScheduler(bed.kernel, bed.nic, bed.registry, n_dispatchers=1,
-                 promote=False)
-    summary, cost = _measure(bed, service, method, n_requests)
-    results.append(DispatchResult(
-        "lauberhorn-kernel", summary.p50, summary.p99,
-        cost.busy_ns_per_request,
-        bed.nic.lstats.delivered_kernel, bed.nic.lstats.delivered_fast,
-    ))
-
-    # Lauberhorn with promotion: first request cold, rest hot.
-    bed = build_lauberhorn_testbed()
-    service, method = _echo_service(bed)
-    process = bed.kernel.spawn_process("echo")
-    bed.nic.register_service(service, process.pid)
-    bed.nic.create_endpoint(EndpointKind.USER, service=service)
-    NicScheduler(bed.kernel, bed.nic, bed.registry, n_dispatchers=1,
-                 promote=True)
-    summary, cost = _measure(bed, service, method, n_requests)
-    results.append(DispatchResult(
-        "lauberhorn-promote", summary.p50, summary.p99,
-        cost.busy_ns_per_request,
-        bed.nic.lstats.delivered_kernel, bed.nic.lstats.delivered_fast,
-    ))
+    for config in ("lauberhorn-hot", "lauberhorn-kernel",
+                   "lauberhorn-promote"):
+        if config == "lauberhorn-hot":
+            # Dedicated user loop armed.
+            bed = build_lauberhorn_testbed()
+            service, method = deploy_service(bed, "lauberhorn",
+                                             cost_instructions=HANDLER_COST)
+        else:
+            bed, service, method = _kernel_dispatched(
+                promote=config == "lauberhorn-promote")
+        summary, cost = _measure(bed, service, method, n_requests)
+        results.append(DispatchResult(
+            config, summary.p50, summary.p99, cost.busy_ns_per_request,
+            bed.nic.lstats.delivered_kernel, bed.nic.lstats.delivered_fast,
+        ))
 
     if verbose:
         print_table(

@@ -11,10 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..nic.lauberhorn import EndpointKind
-from ..os.nicsched import lauberhorn_user_loop
-from ..rpc.server import bypass_worker, linux_udp_worker
-from ..sim.clock import MS
 from ..workloads.generator import OpenLoopGenerator, ServiceMix, Target
 from .grid import Grid, rendered
 from .report import fmt_ns, print_table
@@ -22,6 +18,7 @@ from .testbed import (
     build_bypass_testbed,
     build_lauberhorn_testbed,
     build_linux_testbed,
+    deploy_service,
 )
 
 __all__ = ["GRID", "LoadPoint", "measure_load_point", "render_load_sweep",
@@ -44,44 +41,17 @@ class LoadPoint:
 def _build(stack: str):
     if stack == "linux":
         bed = build_linux_testbed()
-        service = bed.registry.create_service("s", udp_port=9000)
-        method = bed.registry.add_method(service, "m", lambda a: [1],
-                                         cost_instructions=HANDLER_COST)
-        socket = bed.netstack.bind(9000)
-        process = bed.kernel.spawn_process("srv")
-        bed.kernel.spawn_thread(process, linux_udp_worker(socket, bed.registry),
-                                pinned_core=0)
         bed.nic.set_queue_core(0, 1)  # IRQs off the worker's core
-        return bed, service, method
-    if stack == "bypass":
+    elif stack == "bypass":
         bed = build_bypass_testbed()
-        service = bed.registry.create_service("s", udp_port=9000)
-        method = bed.registry.add_method(service, "m", lambda a: [1],
-                                         cost_instructions=HANDLER_COST)
-        bed.nic.steer_port(9000, 0)
-        process = bed.kernel.spawn_process("pmd")
-        bed.kernel.spawn_thread(
-            process, bypass_worker(bed.nic, bed.nic.queues[0],
-                                   bed.user_netctx, bed.registry),
-            pinned_core=0,
-        )
-        return bed, service, method
-    if stack == "lauberhorn":
+    elif stack == "lauberhorn":
         bed = build_lauberhorn_testbed()
-        service = bed.registry.create_service("s", udp_port=9000)
-        method = bed.registry.add_method(service, "m", lambda a: [1],
-                                         cost_instructions=HANDLER_COST)
-        process = bed.kernel.spawn_process("srv")
-        bed.nic.register_service(service, process.pid)
-        endpoint = bed.nic.create_endpoint(
-            EndpointKind.USER, service=service, backlog_capacity=4096
-        )
-        bed.kernel.spawn_thread(
-            process, lauberhorn_user_loop(bed.nic, endpoint, bed.registry),
-            pinned_core=0,
-        )
-        return bed, service, method
-    raise ValueError(f"unknown stack {stack!r}")
+        bed.nic.backlog_capacity = 4096  # queue bursts, don't drop them
+    else:
+        raise ValueError(f"unknown stack {stack!r}")
+    service, method = deploy_service(bed, stack, lambda a: [1],
+                                     cost_instructions=HANDLER_COST, core=0)
+    return bed, service, method
 
 
 def measure_load_point(

@@ -130,7 +130,9 @@ def _measure(bed, service, method, n: int) -> LatencyRecorder:
 def run_nested_rpc(n_requests: int = 15, verbose: bool = True) -> list[NestedResult]:
     results = []
 
-    # Lauberhorn.
+    # Lauberhorn.  Hand-rolled on both stacks: the frontend calls out
+    # through continuation end-points (a reply socket on Linux), which
+    # deploy_service does not wire.
     bed = build_lauberhorn_testbed()
     svc_a = bed.registry.create_service("frontend", udp_port=A_PORT)
     m_a = bed.registry.add_method(svc_a, "handle", lambda a: list(a))

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..nic.lauberhorn import EndpointKind
-from ..os.nicsched import lauberhorn_user_loop
 from ..sim.clock import MS
 from .report import print_table
+from .testbed import build_lauberhorn_testbed, deploy_service
 
 __all__ = ["ProtocolCost", "run_protocol_cost"]
 
@@ -32,20 +31,8 @@ class ProtocolCost:
 
 
 def run_protocol_cost(n_requests: int = 32, verbose: bool = True) -> ProtocolCost:
-    from .testbed import build_lauberhorn_testbed
-
     bed = build_lauberhorn_testbed()
-    service = bed.registry.create_service("echo", udp_port=9000)
-    method = bed.registry.add_method(
-        service, "echo", lambda args: list(args), cost_instructions=300
-    )
-    process = bed.kernel.spawn_process("echo")
-    bed.nic.register_service(service, process.pid)
-    endpoint = bed.nic.create_endpoint(EndpointKind.USER, service=service)
-    bed.kernel.spawn_thread(
-        process, lauberhorn_user_loop(bed.nic, endpoint, bed.registry),
-        pinned_core=0,
-    )
+    service, method = deploy_service(bed, "lauberhorn", cost_instructions=300)
     client = bed.clients[0]
     fabric = bed.machine.fabric
     state = {}

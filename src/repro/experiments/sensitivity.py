@@ -17,13 +17,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..hw.params import ENZIAN, ENZIAN_PCIE
-from ..nic.lauberhorn import EndpointKind
-from ..os.nicsched import lauberhorn_user_loop
-from ..rpc.server import bypass_worker
 from ..sim.clock import MS
 from .grid import Grid
 from .report import fmt_ns, print_table
-from .testbed import build_bypass_testbed, build_lauberhorn_testbed
+from .testbed import (
+    build_bypass_testbed,
+    build_lauberhorn_testbed,
+    deploy_service,
+)
 
 __all__ = ["GRID", "SensitivityPoint", "lauberhorn_rtt_at",
            "bypass_baseline_rtt", "assemble_sensitivity",
@@ -58,36 +59,18 @@ def _machine_with_link_latency(one_way_ns: float):
 def lauberhorn_rtt_at(one_way_ns: float, n: int = 8) -> float:
     """One sweep point: Lauberhorn RTT with the link at ``one_way_ns``."""
     bed = build_lauberhorn_testbed(params=_machine_with_link_latency(one_way_ns))
-    service = bed.registry.create_service("s", udp_port=9000)
-    method = bed.registry.add_method(service, "m", lambda a: [1],
-                                     cost_instructions=HANDLER_COST)
-    process = bed.kernel.spawn_process("s")
-    bed.nic.register_service(service, process.pid)
-    endpoint = bed.nic.create_endpoint(EndpointKind.USER, service=service)
-    bed.kernel.spawn_thread(
-        process, lauberhorn_user_loop(bed.nic, endpoint, bed.registry),
-        pinned_core=0,
-    )
-    return _measure(bed, service, method, n)
+    return _measure(bed, "lauberhorn", n)
 
 
 def bypass_baseline_rtt(n: int = 8) -> float:
     """The fixed PCIe-bypass baseline every sweep point compares against."""
-    bed = build_bypass_testbed(params=ENZIAN_PCIE)
-    service = bed.registry.create_service("s", udp_port=9000)
-    method = bed.registry.add_method(service, "m", lambda a: [1],
+    return _measure(build_bypass_testbed(params=ENZIAN_PCIE), "bypass", n)
+
+
+def _measure(bed, stack: str, n: int) -> float:
+    """Deploy the small-RPC service on ``bed``; mean steady RTT."""
+    service, method = deploy_service(bed, stack, lambda a: [1],
                                      cost_instructions=HANDLER_COST)
-    bed.nic.steer_port(9000, 0)
-    process = bed.kernel.spawn_process("pmd")
-    bed.kernel.spawn_thread(
-        process, bypass_worker(bed.nic, bed.nic.queues[0], bed.user_netctx,
-                               bed.registry),
-        pinned_core=0,
-    )
-    return _measure(bed, service, method, n)
-
-
-def _measure(bed, service, method, n: int) -> float:
     client = bed.clients[0]
     rtts: list[float] = []
 

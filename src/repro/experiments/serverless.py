@@ -100,6 +100,7 @@ def measure_serverless_stack(
     if stack == "linux":
         bed = build_linux_testbed(n_queues=n_serving)
         targets = _targets(bed, n_functions)
+        # Hand-rolled: many functions share n_serving cores round-robin.
         for index, target in enumerate(targets):
             socket = bed.netstack.bind(target.service.udp_port)
             process = bed.kernel.spawn_process(f"fn{index}")

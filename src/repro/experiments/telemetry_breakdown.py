@@ -9,29 +9,43 @@ paper flags as a benefit of making the NIC part of the OS.
 
 from __future__ import annotations
 
-from ..nic.lauberhorn import EndpointKind
-from ..os.nicsched import NicScheduler, lauberhorn_user_loop
+from dataclasses import dataclass
+
+from ..os.nicsched import NicScheduler
 from ..sim.clock import MS
 from .report import fmt_ns, print_table
-from .testbed import build_lauberhorn_testbed
+from .testbed import build_lauberhorn_testbed, deploy_service
 
-__all__ = ["run_telemetry_breakdown"]
+__all__ = ["StageLatency", "TelemetryBreakdown", "run_telemetry_breakdown"]
 
 
-def run_telemetry_breakdown(n_requests: int = 20, verbose: bool = True):
+@dataclass(frozen=True)
+class StageLatency:
+    """One pipeline stage's percentiles, in ns."""
+
+    p50_ns: float
+    p99_ns: float
+
+
+@dataclass(frozen=True)
+class TelemetryBreakdown:
+    """What the NIC's telemetry ring reports after the run."""
+
+    #: service name -> pipeline stage -> percentiles
+    services: dict[str, dict[str, StageLatency]]
+    kernel_dispatch_fraction: float
+    #: timelines the ring holds (one per answered RPC)
+    completed: int
+
+
+def run_telemetry_breakdown(n_requests: int = 20,
+                            verbose: bool = True) -> TelemetryBreakdown:
     bed = build_lauberhorn_testbed()
 
-    hot = bed.registry.create_service("hot", udp_port=9000)
-    hot_m = bed.registry.add_method(hot, "m", lambda a: list(a),
-                                    cost_instructions=500)
-    hot_proc = bed.kernel.spawn_process("hot")
-    bed.nic.register_service(hot, hot_proc.pid)
-    hot_ep = bed.nic.create_endpoint(EndpointKind.USER, service=hot)
-    bed.kernel.spawn_thread(
-        hot_proc, lauberhorn_user_loop(bed.nic, hot_ep, bed.registry),
-        pinned_core=0,
-    )
+    hot, hot_m = deploy_service(bed, "lauberhorn", name="hot")
 
+    # Hand-rolled: deploy_service arms a dedicated loop, and the cold
+    # service must wait for a kernel dispatcher instead.
     cold = bed.registry.create_service("cold", udp_port=9001)
     cold_m = bed.registry.add_method(cold, "m", lambda a: list(a),
                                      cost_instructions=500)
@@ -52,15 +66,26 @@ def run_telemetry_breakdown(n_requests: int = 20, verbose: bool = True):
     bed.machine.run(until=1000 * MS)
 
     telemetry = bed.nic.telemetry
+    result = TelemetryBreakdown(
+        services={
+            service.name: {
+                stage: StageLatency(summary.p50, summary.p99)
+                for stage, summary in
+                telemetry.breakdown(service.service_id).items()
+            }
+            for service in (hot, cold)
+        },
+        kernel_dispatch_fraction=telemetry.kernel_dispatch_fraction(),
+        completed=len(telemetry.completed),
+    )
     if verbose:
-        for service in (hot, cold):
-            breakdown = telemetry.breakdown(service.service_id)
+        for name, stages in result.services.items():
             print_table(
                 ["stage", "p50", "p99"],
-                [(stage, fmt_ns(summary.p50), fmt_ns(summary.p99))
-                 for stage, summary in breakdown.items()],
-                title=f"NIC telemetry — service {service.name!r}",
+                [(stage, fmt_ns(latency.p50_ns), fmt_ns(latency.p99_ns))
+                 for stage, latency in stages.items()],
+                title=f"NIC telemetry — service {name!r}",
             )
         print(f"\nkernel-dispatch fraction: "
-              f"{telemetry.kernel_dispatch_fraction():.2f}")
-    return telemetry
+              f"{result.kernel_dispatch_fraction:.2f}")
+    return result

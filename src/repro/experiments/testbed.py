@@ -288,14 +288,6 @@ def _assemble_lauberhorn(
     )
 
 
-_ASSEMBLERS = {
-    "linux": _assemble_linux,
-    "snap": _assemble_bypass,
-    "bypass": _assemble_bypass,
-    "lauberhorn": _assemble_lauberhorn,
-}
-
-
 def deploy_service(
     bed: Testbed,
     stack: str,
@@ -305,19 +297,23 @@ def deploy_service(
     udp_port: int = 9000,
     cost_instructions: int = 500,
     method_name: str = "m",
-    core: int = 0,
+    core: Optional[int] = None,
     tenant=None,
     encrypted: bool = False,
 ):
     """Register a one-method service on ``bed`` and spawn its workers.
 
     ``stack`` names the serving architecture the bed was assembled for
-    (``linux``/``snap``/``bypass``/``lauberhorn``); ``core`` pins the
-    primary worker (snap uses ``core`` for the engine and ``core + 1``
-    for the worker, mirroring the legacy four-stacks wiring).
+    (``linux``/``snap``/``bypass``/``lauberhorn``).  ``core`` pins the
+    primary worker; left as None, the Linux worker is placed by the
+    scheduler and the others pin to core 0 (snap uses ``core`` for the
+    engine and ``core + 1`` for the worker).
     ``tenant`` (lauberhorn only) binds the service to a tenant of the
-    NIC's attached :class:`repro.tenancy.TenantTable`.  Returns
-    ``(service, method)``.
+    NIC's attached :class:`repro.tenancy.TenantTable`.  Per-deployment
+    tweaks are bed configuration set before the call, e.g.
+    ``bed.nic.set_queue_core(...)`` or ``bed.nic.backlog_capacity``
+    (the end-point default :meth:`LauberhornNic.create_endpoint` reads).
+    Returns ``(service, method)``.
     """
     if handler is None:
         handler = lambda a: list(a)  # noqa: E731 — echo by default
@@ -325,12 +321,15 @@ def deploy_service(
                                           encrypted=encrypted)
     method = bed.registry.add_method(service, method_name, handler,
                                      cost_instructions=cost_instructions)
+    if core is None and stack != "linux":
+        core = 0
     if stack == "linux":
         from ..rpc.server import linux_udp_worker
 
         socket = bed.netstack.bind(udp_port)
         proc = bed.kernel.spawn_process("srv")
-        bed.kernel.spawn_thread(proc, linux_udp_worker(socket, bed.registry))
+        bed.kernel.spawn_thread(proc, linux_udp_worker(socket, bed.registry),
+                                pinned_core=core)
     elif stack == "snap":
         from ..rpc.snap import SnapEngine, snap_engine_body, snap_worker_body
 

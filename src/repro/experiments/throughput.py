@@ -15,16 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..nic.lauberhorn import EndpointKind
-from ..os.nicsched import lauberhorn_user_loop
-from ..rpc.server import bypass_worker, linux_udp_worker
-from ..sim.clock import MS, SEC
+from ..sim.clock import SEC
 from ..workloads.generator import ClosedLoopGenerator, ServiceMix, Target
 from .report import print_table
 from .testbed import (
     build_bypass_testbed,
     build_lauberhorn_testbed,
     build_linux_testbed,
+    deploy_service,
 )
 
 __all__ = ["ThroughputResult", "run_throughput", "run_lauberhorn_scaling"]
@@ -66,53 +64,19 @@ def run_throughput(concurrency: int = 32, n_requests: int = 300,
                    verbose: bool = True) -> list[ThroughputResult]:
     results: list[ThroughputResult] = []
 
-    # Linux: one worker (one serving core at a time).
-    bed = build_linux_testbed()
-    service = bed.registry.create_service("s", udp_port=9000)
-    method = bed.registry.add_method(service, "m", lambda a: [1],
-                                     cost_instructions=HANDLER_COST)
-    socket = bed.netstack.bind(9000)
-    process = bed.kernel.spawn_process("srv")
-    bed.kernel.spawn_thread(process, linux_udp_worker(socket, bed.registry),
-                            pinned_core=0)
-    completed, duration = _drive_closed_loop(
-        bed, [Target(service, method)], concurrency, n_requests
-    )
-    results.append(ThroughputResult("linux", 1, completed, duration))
-
-    # Bypass: one PMD worker.
-    bed = build_bypass_testbed()
-    service = bed.registry.create_service("s", udp_port=9000)
-    method = bed.registry.add_method(service, "m", lambda a: [1],
-                                     cost_instructions=HANDLER_COST)
-    bed.nic.steer_port(9000, 0)
-    process = bed.kernel.spawn_process("pmd")
-    bed.kernel.spawn_thread(
-        process, bypass_worker(bed.nic, bed.nic.queues[0], bed.user_netctx,
-                               bed.registry),
-        pinned_core=0,
-    )
-    completed, duration = _drive_closed_loop(
-        bed, [Target(service, method)], concurrency, n_requests
-    )
-    results.append(ThroughputResult("bypass", 1, completed, duration))
-
-    # Lauberhorn: one user loop.
-    bed = build_lauberhorn_testbed()
-    service = bed.registry.create_service("s", udp_port=9000)
-    method = bed.registry.add_method(service, "m", lambda a: [1],
-                                     cost_instructions=HANDLER_COST)
-    process = bed.kernel.spawn_process("srv")
-    bed.nic.register_service(service, process.pid)
-    endpoint = bed.nic.create_endpoint(EndpointKind.USER, service=service)
-    bed.kernel.spawn_thread(
-        process, lauberhorn_user_loop(bed.nic, endpoint, bed.registry),
-        pinned_core=0,
-    )
-    completed, duration = _drive_closed_loop(
-        bed, [Target(service, method)], concurrency, n_requests
-    )
-    results.append(ThroughputResult("lauberhorn", 1, completed, duration))
+    # One worker on core 0 each: a Linux socket worker, a bypass PMD
+    # worker, a Lauberhorn user loop.
+    for stack, build in (("linux", build_linux_testbed),
+                         ("bypass", build_bypass_testbed),
+                         ("lauberhorn", build_lauberhorn_testbed)):
+        bed = build()
+        service, method = deploy_service(bed, stack, lambda a: [1],
+                                         cost_instructions=HANDLER_COST,
+                                         core=0)
+        completed, duration = _drive_closed_loop(
+            bed, [Target(service, method)], concurrency, n_requests
+        )
+        results.append(ThroughputResult(stack, 1, completed, duration))
 
     if verbose:
         print_table(
@@ -133,17 +97,10 @@ def run_lauberhorn_scaling(core_counts=(1, 2, 4), concurrency: int = 48,
         bed = build_lauberhorn_testbed()
         targets = []
         for index in range(n_cores):
-            service = bed.registry.create_service(f"s{index}",
-                                                  udp_port=9000 + index)
-            method = bed.registry.add_method(service, "m", lambda a: [1],
-                                             cost_instructions=HANDLER_COST)
-            process = bed.kernel.spawn_process(f"s{index}")
-            bed.nic.register_service(service, process.pid)
-            endpoint = bed.nic.create_endpoint(EndpointKind.USER, service=service)
-            bed.kernel.spawn_thread(
-                process, lauberhorn_user_loop(bed.nic, endpoint, bed.registry),
-                pinned_core=index,
-            )
+            service, method = deploy_service(
+                bed, "lauberhorn", lambda a: [1], name=f"s{index}",
+                udp_port=9000 + index, cost_instructions=HANDLER_COST,
+                core=index)
             targets.append(Target(service, method))
         completed, duration = _drive_closed_loop(
             bed, targets, concurrency, n_requests

@@ -22,15 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..metrics.energy import PowerParams, core_energy
-from ..nic.lauberhorn import EndpointKind
-from ..os.nicsched import lauberhorn_user_loop
-from ..rpc.server import bypass_worker, linux_udp_worker
 from ..sim.clock import MS, SEC, US
 from .report import fmt_ns, print_table
 from .testbed import (
     build_bypass_testbed,
     build_lauberhorn_testbed,
     build_linux_testbed,
+    deploy_service,
 )
 
 __all__ = ["EnergyRow", "TimeoutRow", "run_tryagain_energy",
@@ -96,48 +94,19 @@ def run_tryagain_energy(
             energy_uj_per_request=energy.total_j * 1e6 / max(1, served),
         ))
 
-    # Linux: worker blocks in recvmsg; core 0 hosts it (pinned).
-    bed = build_linux_testbed()
-    service = bed.registry.create_service("echo", udp_port=9000)
-    method = bed.registry.add_method(service, "m", lambda a: list(a),
-                                     cost_instructions=300)
-    socket = bed.netstack.bind(9000)
-    process = bed.kernel.spawn_process("echo")
-    bed.kernel.spawn_thread(process, linux_udp_worker(socket, bed.registry),
-                            pinned_core=0)
-    bed.nic.set_queue_core(0, 0)
-    served = _serve_trickle(bed, service, method, gap_ns, n_requests)
-    finish("linux (interrupt)", bed, served)
-
-    # Bypass: worker spins on core 0.
-    bed = build_bypass_testbed()
-    service = bed.registry.create_service("echo", udp_port=9000)
-    method = bed.registry.add_method(service, "m", lambda a: list(a),
-                                     cost_instructions=300)
-    process = bed.kernel.spawn_process("echo")
-    bed.kernel.spawn_thread(
-        process,
-        bypass_worker(bed.nic, bed.nic.queues[0], bed.user_netctx, bed.registry),
-        pinned_core=0,
-    )
-    bed.nic.steer_port(9000, 0)
-    served = _serve_trickle(bed, service, method, gap_ns, n_requests)
-    finish("bypass (spin)", bed, served)
-
-    # Lauberhorn: worker stalls in a blocked load on core 0.
-    bed = build_lauberhorn_testbed()
-    service = bed.registry.create_service("echo", udp_port=9000)
-    method = bed.registry.add_method(service, "m", lambda a: list(a),
-                                     cost_instructions=300)
-    process = bed.kernel.spawn_process("echo")
-    bed.nic.register_service(service, process.pid)
-    endpoint = bed.nic.create_endpoint(EndpointKind.USER, service=service)
-    bed.kernel.spawn_thread(
-        process, lauberhorn_user_loop(bed.nic, endpoint, bed.registry),
-        pinned_core=0,
-    )
-    served = _serve_trickle(bed, service, method, gap_ns, n_requests)
-    finish("lauberhorn (blocked load)", bed, served)
+    # Every worker is pinned to core 0, the core measured: the Linux
+    # worker blocks in recvmsg (queue 0's IRQs land on core 0 too), the
+    # bypass worker spins, the Lauberhorn loop stalls in a blocked load.
+    for stack, build, mechanism in (
+        ("linux", build_linux_testbed, "linux (interrupt)"),
+        ("bypass", build_bypass_testbed, "bypass (spin)"),
+        ("lauberhorn", build_lauberhorn_testbed, "lauberhorn (blocked load)"),
+    ):
+        bed = build()
+        service, method = deploy_service(bed, stack, cost_instructions=300,
+                                         core=0)
+        served = _serve_trickle(bed, service, method, gap_ns, n_requests)
+        finish(mechanism, bed, served)
 
     if verbose:
         print_table(
@@ -164,15 +133,7 @@ def run_timeout_ablation(
     rows: list[TimeoutRow] = []
     for timeout_ns in timeouts_ns:
         bed = build_lauberhorn_testbed(tryagain_timeout_ns=timeout_ns)
-        service = bed.registry.create_service("idle", udp_port=9000)
-        bed.registry.add_method(service, "m", lambda a: list(a))
-        process = bed.kernel.spawn_process("idle")
-        bed.nic.register_service(service, process.pid)
-        endpoint = bed.nic.create_endpoint(EndpointKind.USER, service=service)
-        bed.kernel.spawn_thread(
-            process, lauberhorn_user_loop(bed.nic, endpoint, bed.registry),
-            pinned_core=0,
-        )
+        deploy_service(bed, "lauberhorn", name="idle")
         bed.machine.run(until=idle_ns)
         seconds = idle_ns / SEC
         rows.append(TimeoutRow(

@@ -22,6 +22,7 @@ import io
 import json
 import os
 import pathlib
+import re
 from contextlib import redirect_stdout
 
 import pytest
@@ -35,6 +36,8 @@ GOLDEN_DIR = pathlib.Path(__file__).parent
 GOLDEN_EXPERIMENTS = tuple(f"e{i}" for i in range(1, 19))
 
 _MAX_DIFFS_SHOWN = 12
+#: what ``repro.exp.pool.jsonable`` emits for a value it cannot serialise
+_REPR_FALLBACK = re.compile(r"^<[\w.]+ object>$")
 
 
 def _diff_paths(expected, actual, path="", out=None):
@@ -117,6 +120,30 @@ def test_experiment_matches_golden(name, fresh_values):
         f"({len(diffs)}+ difference(s)):\n{shown}\n"
         "If this change is intentional, regenerate with `make regen-golden` "
         "and review the JSON diff."
+    )
+
+
+def _repr_fallbacks(value, path=""):
+    """Paths under ``value`` holding a ``jsonable`` repr placeholder."""
+    if isinstance(value, dict):
+        return [hit for key, item in value.items()
+                for hit in _repr_fallbacks(item, f"{path}.{key}")]
+    if isinstance(value, list):
+        return [hit for index, item in enumerate(value)
+                for hit in _repr_fallbacks(item, f"{path}[{index}]")]
+    if isinstance(value, str) and _REPR_FALLBACK.match(value):
+        return [f"{path or '<root>'}: {value}"]
+    return []
+
+
+@pytest.mark.parametrize("name", GOLDEN_EXPERIMENTS)
+def test_golden_pins_values_not_reprs(name, fresh_values):
+    """A result ``jsonable`` could only ``repr`` pins nothing: its golden
+    would match any run.  Experiments must return plain data."""
+    hits = _repr_fallbacks(fresh_values[name])
+    assert not hits, (
+        f"{name} returns objects that serialise as a bare repr:\n  "
+        + "\n  ".join(hits)
     )
 
 
