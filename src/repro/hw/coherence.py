@@ -58,7 +58,7 @@ class LineState(enum.Enum):
     MODIFIED = "M"
 
 
-@dataclass
+@dataclass(slots=True)
 class FillResponse:
     """What a home returns for a fill: payload plus grant state."""
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..sim.engine import Simulator
+from ..sim.engine import AllOf, Simulator
 from ..sim.trace import Tracer
 from .coherence import CoherenceFabric
 from .params import CacheParams, CoreParams
@@ -221,8 +221,6 @@ class Core:
         """
         if self.fabric is None:
             raise RuntimeError(f"core {self.id} has no coherence fabric")
-        from ..sim.engine import AllOf
-
         results: dict[int, bytes] = {}
         start = self.sim.now
         self._stall_open_since = start

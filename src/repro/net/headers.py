@@ -73,7 +73,7 @@ class MacAddress:
         return ":".join(f"{b:02x}" for b in raw)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EthernetHeader:
     """Ethernet II header (no VLAN tags, no FCS)."""
 
@@ -102,7 +102,7 @@ class EthernetHeader:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Ipv4Header:
     """IPv4 header without options (IHL = 5)."""
 
@@ -168,7 +168,7 @@ class Ipv4Header:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class UdpHeader:
     """UDP header; the checksum covers the RFC 768 pseudo-header."""
 

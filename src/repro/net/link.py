@@ -248,6 +248,7 @@ class SwitchFabric:
         intra-flow reordering) while distinct flows spread.  Non-UDP/IP
         frames fall back to member 0.
         """
+        # a local import: repro.nic imports this module (import cycle)
         from ..nic.rss import rss_hash
 
         flow = frame_flow(frame.data)

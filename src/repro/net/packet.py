@@ -116,7 +116,7 @@ class Frame:
         return max(len(self.data), MIN_WIRE_BYTES) + WIRE_OVERHEAD_BYTES
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ParsedUdp:
     """A fully decoded UDP-in-IPv4-in-Ethernet frame."""
 

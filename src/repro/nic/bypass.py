@@ -27,6 +27,7 @@ from ..net.headers import HeaderError
 from ..net.link import Port
 from ..net.packet import Frame, parse_udp_frame
 from ..os import ops
+from ..sim.engine import AnyOf
 from ..sim.resources import Gate
 from .base import BaseNic
 from .rss import rss_queue_index
@@ -131,8 +132,6 @@ class BypassNic(BaseNic):
         """
 
         def pmd_poll(core, thread):
-            from ..sim.engine import AnyOf
-
             params = self.params
             # Charge spin time in bounded quanta so energy accounting is
             # correct even while the worker is mid-spin when a run ends.
@@ -177,8 +176,6 @@ class BypassNic(BaseNic):
             raise ValueError("need at least one queue")
 
         def pmd_poll(core, thread):
-            from ..sim.engine import AnyOf
-
             params = self.params
             sweep_cost = params.pmd_poll_instructions * len(queue_list)
             while True:

@@ -26,6 +26,7 @@ from ...hw.address import Region
 from ...rpc.service import ServiceDef
 from ...sim.engine import Event
 from ...tenancy import TenantSpec
+from .wire import max_inline_payload
 
 __all__ = ["EndpointKind", "InflightRequest", "PendingRequest", "Endpoint"]
 
@@ -37,7 +38,7 @@ class EndpointKind(enum.Enum):
     KERNEL = "kernel"
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingRequest:
     """A decoded request waiting to be delivered to a CPU."""
 
@@ -56,7 +57,7 @@ class PendingRequest:
     tenant: Optional[TenantSpec] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class InflightRequest:
     """A request delivered to a CPU whose response is still owed."""
 
@@ -154,8 +155,6 @@ class Endpoint:
 
     def max_line_payload(self) -> int:
         """Largest payload deliverable via lines (beyond: DMA fallback)."""
-        from .wire import max_inline_payload
-
         return max_inline_payload(self.line_bytes) + len(self.aux_addrs) * self.line_bytes
 
     def push_backlog(self, request: PendingRequest) -> bool:

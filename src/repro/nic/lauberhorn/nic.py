@@ -31,13 +31,16 @@ from typing import Optional
 
 from ...hw.coherence import FillResponse, HomeDevice
 from ...hw.machine import Machine
+from ...net.crypto import nic_crypto_ns
 from ...net.headers import HeaderError, MacAddress
 from ...net.link import Port
 from ...net.packet import build_udp_frame, parse_udp_frame
 from ...obs.spans import public_meta
+from ...os import ops
 from ...rpc.message import RpcError, RpcMessage, RpcType
 from ...rpc.service import ServiceDef, ServiceRegistry
-from ...sim.engine import Event
+from ...sim.clock import bytes_time_ns
+from ...sim.engine import AllOf, Event
 from ...tenancy import DeficitRoundRobin, TenantSpec, TenantTable
 from ..base import BaseNic
 from . import wire
@@ -497,8 +500,6 @@ class LauberhornNic(BaseNic, HomeDevice):
             if self.fabric.has_holders(ep.aux_addrs[i])
         ]
         if to_recall:
-            from ...sim.engine import AllOf
-
             recalls = [
                 self.sim.process(self.fabric.device_recall(addr))
                 for addr in to_recall
@@ -582,7 +583,6 @@ class LauberhornNic(BaseNic, HomeDevice):
     def completion_signal_op(self, ep: Endpoint):
         """CPU-side thread op raising :meth:`completion_signal`: a
         posted store to a NIC-homed doorbell line (~tens of ns busy)."""
-        from ...os import ops
 
         def signal(core, thread):
             yield from core.busy_ns(30.0)
@@ -600,8 +600,6 @@ class LauberhornNic(BaseNic, HomeDevice):
         ordering), spawn the timed extraction + transmit tail, which
         overlaps with the next delivery on this end-point, and release
         the tenant's CONTROL line."""
-        from ...sim.clock import bytes_time_ns
-
         ep.inflight = None
         self.telemetry.on_completion(inflight.request.tag, self.sim.now)
         obs = self.obs
@@ -667,8 +665,6 @@ class LauberhornNic(BaseNic, HomeDevice):
             payload,
         )
         if request.service.encrypted:
-            from ...net.crypto import nic_crypto_ns
-
             yield self.sim.timeout(nic_crypto_ns(len(payload)))
         yield self.sim.timeout(self.params.compose_line_ns)
         obs = self.obs
@@ -744,8 +740,6 @@ class LauberhornNic(BaseNic, HomeDevice):
             tstats.admitted += 1
             if service.encrypted:
                 # Inline AEAD open in the NIC pipeline (Section 6).
-                from ...net.crypto import nic_crypto_ns
-
                 yield self.sim.timeout(nic_crypto_ns(len(message.payload)))
         else:
             self.stats.rx_dropped += 1

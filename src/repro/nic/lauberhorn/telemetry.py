@@ -28,7 +28,7 @@ from ...metrics.histogram import LatencyRecorder, LatencySummary
 __all__ = ["RpcTimeline", "TelemetryRing"]
 
 
-@dataclass
+@dataclass(slots=True)
 class RpcTimeline:
     """One RPC's NIC-observed timeline (all times in ns)."""
 

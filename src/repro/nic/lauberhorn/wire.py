@@ -90,7 +90,7 @@ _RESP_HEADER = "!BBHIQ"
 assert struct.calcsize(_RESP_HEADER) == 16
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RequestLine:
     """Decoded NIC->CPU CONTROL line."""
 
@@ -134,7 +134,7 @@ class RequestLine:
 FLAG_RESP_DMA = 0x08
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ResponseLine:
     """Decoded CPU->NIC CONTROL line."""
 

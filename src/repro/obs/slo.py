@@ -171,8 +171,14 @@ class SLOTracker:
         self.alerts: list[SLOAlert] = []
         self._ledgers: dict[str, _Ledger] = {
             spec.name: _Ledger() for spec in self.specs}
-        # open root spans awaiting completion (for timeout objectives)
+        # open root spans awaiting completion (for timeout objectives),
+        # in start order
         self._open: dict[int, Any] = {}
+        # no root younger than this can have timed out (None: no spec
+        # has a timeout)
+        self._shortest_timeout: Optional[float] = min(
+            (spec.timeout_ns for spec in self.specs
+             if spec.timeout_ns is not None), default=None)
         # trace ids already charged as timeouts — a late completion
         # must not count the same request twice
         self._timed_out: set[int] = set()
@@ -200,7 +206,13 @@ class SLOTracker:
     # -- span feed ------------------------------------------------------------
 
     def note_root_start(self, span) -> None:
-        """A root span opened; remember it for timeout accounting."""
+        """A root span opened; remember it for timeout accounting.
+
+        Roots must arrive in start order (``span.start_ns`` never
+        decreasing from one call to the next), as ``start_trace`` opens
+        them at ``sim.now``: the timeout scan stops at the first root
+        too young to have timed out.
+        """
         self._open[span.span_id] = span
 
     def observe_root(self, span) -> None:
@@ -271,9 +283,15 @@ class SLOTracker:
 
     def _charge_timeouts(self, now_ns: float) -> None:
         """Open roots past their timeout count as bad, exactly once."""
+        shortest = self._shortest_timeout
+        if shortest is None:
+            return
         expired = []
         for span_id, span in self._open.items():
             age = now_ns - span.start_ns
+            if age <= shortest:
+                # roots are in start order: no later one is older
+                break
             charged = False
             for spec in self.specs:
                 if spec.timeout_ns is None or age <= spec.timeout_ns:

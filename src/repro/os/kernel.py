@@ -36,7 +36,7 @@ class KernelError(RuntimeError):
     """Inconsistent kernel state (a bug in a model built on the kernel)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Irq:
     """A pending interrupt: a name, an optional handler, extra cost.
 

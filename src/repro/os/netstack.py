@@ -25,7 +25,7 @@ from .process import OsThread
 __all__ = ["Datagram", "UdpSocket", "NetStack"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Datagram:
     """What ``recvmsg`` returns to a thread body."""
 

@@ -25,10 +25,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..net.packet import build_udp_frame
+from ..nic.lauberhorn import wire
 from ..nic.lauberhorn.endpoint import Endpoint, EndpointKind
 from ..nic.lauberhorn.nic import LauberhornNic
-from ..rpc.marshal import marshal_args, unmarshal_args
-from ..rpc.service import ServiceRegistry
+from ..rpc.marshal import (
+    MarshalError,
+    count_fields,
+    marshal_args,
+    software_unmarshal_instructions,
+    unmarshal_args,
+)
+from ..rpc.message import RpcMessage
+from ..rpc.service import ServiceError, ServiceRegistry
 from ..sim.clock import bytes_time_ns
 from . import ops
 from .kernel import Kernel
@@ -66,8 +75,6 @@ def _gather_payload(nic: LauberhornNic, ep: Endpoint, request_line):
         # Stream AUX lines with memory-level parallelism (prefetchable).
         aux_addrs = tuple(ep.aux_addrs[: request_line.n_aux])
         aux_chunks = yield ops.LoadLines(aux_addrs)
-        from ..nic.lauberhorn import wire
-
         payload = wire.assemble_request_payload(request_line, aux_chunks)
         # Drop the (clean) AUX lines now that the payload is assembled,
         # so the NIC can restage them without recalls (DC CIVAC after a
@@ -88,16 +95,8 @@ def _serve_delivery(nic: LauberhornNic, ep: Endpoint, request_line, registry,
     """
     payload = yield from _gather_payload(nic, ep, request_line)
 
-    from ..rpc.marshal import MarshalError
-    from ..rpc.service import ServiceError
-
     try:
         if software_unmarshal:
-            from ..rpc.marshal import (
-                count_fields,
-                software_unmarshal_instructions,
-            )
-
             args = unmarshal_args(payload) if payload else []
             yield ops.Exec(
                 software_unmarshal_instructions(count_fields(args), len(payload))
@@ -120,8 +119,6 @@ def _serve_delivery(nic: LauberhornNic, ep: Endpoint, request_line, registry,
         # store-then-load sequence still completes.
         yield ops.Exec(USER_LOOP_SW_INSTRUCTIONS)
         resp_payload = marshal_args(["__rpc_error__", type(exc).__name__])
-
-    from ..nic.lauberhorn import wire
 
     resp_line_capacity = (
         ep.line_bytes - wire.RESP_INLINE_OFFSET
@@ -170,10 +167,6 @@ def lauberhorn_nested_call(
     costs one PIO transmit plus one fill, with no socket or kernel
     involvement.
     """
-    from ..net.packet import build_udp_frame
-    from ..nic.lauberhorn import wire
-    from ..rpc.message import RpcMessage
-
     tag, cont = nic.acquire_continuation()
     # "creating this continuation [is] a cheap operation": a pool pop
     # plus registering the tag — one posted store's worth of work.
@@ -228,8 +221,6 @@ def lauberhorn_user_loop(
     mode the kernel dispatcher uses for its promoted user phase.
     Returns the number of requests served.
     """
-    from ..nic.lauberhorn import wire
-
     # Claim the end-point so the kernel dispatcher's promotion logic
     # never hijacks lines a dedicated loop is already cycling on.
     owned_here = not ep.owner_label
@@ -250,8 +241,6 @@ def _user_loop_body(
     nic, ep, registry, max_requests, stop_on_tryagain, yield_on_tryagain,
     software_unmarshal,
 ):
-    from ..nic.lauberhorn import wire
-
     served = 0
     parity = 0
     while True:
@@ -295,8 +284,6 @@ def kernel_dispatch_loop(
     Runs as a kernel thread parked on a *kernel* end-point.  Returns the
     number of requests served (directly or via promoted user phases).
     """
-    from ..nic.lauberhorn import wire
-
     served = 0
     parity = 0
     while True:

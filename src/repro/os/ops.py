@@ -49,21 +49,21 @@ class ThreadOp:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Exec(ThreadOp):
     """Retire ``instructions`` of straight-line code."""
 
     instructions: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExecNs(ThreadOp):
     """Occupy the core (busy) for a fixed duration."""
 
     ns: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Syscall(ThreadOp):
     """Enter/leave the kernel (charges the syscall path length).
 
@@ -73,7 +73,7 @@ class Syscall(ThreadOp):
     action: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Block(ThreadOp):
     """Block the thread until ``event`` fires; resumes with its value.
 
@@ -84,19 +84,19 @@ class Block(ThreadOp):
     event: Event
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class YieldCpu(ThreadOp):
     """Voluntarily yield the CPU (``sched_yield``/``schedule()``)."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Sleep(ThreadOp):
     """Block the thread for a fixed duration."""
 
     ns: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LoadLine(ThreadOp):
     """Coherent load of a device-homed cache line.
 
@@ -108,7 +108,7 @@ class LoadLine(ThreadOp):
     addr: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StoreLine(ThreadOp):
     """Coherent store to a device-homed cache line."""
 
@@ -116,7 +116,7 @@ class StoreLine(ThreadOp):
     data: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LoadLines(ThreadOp):
     """Coherent loads of several device-homed lines, overlapped.
 
@@ -129,7 +129,7 @@ class LoadLines(ThreadOp):
     addrs: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EvictLine(ThreadOp):
     """Drop a device-homed line from this core's cache (DC CIVAC-style
     cache maintenance), so the next load misses and re-arms the NIC."""
@@ -137,14 +137,14 @@ class EvictLine(ThreadOp):
     addr: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MmioRead(ThreadOp):
     """Uncached read of a device register (full link round trip)."""
 
     register: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MmioWrite(ThreadOp):
     """Posted write to a device register (doorbell)."""
 
@@ -154,7 +154,7 @@ class MmioWrite(ThreadOp):
     on_device: Optional[Callable[[], None]] = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Call(ThreadOp):
     """Run a device-library generator ``fn(core, thread)`` inline.
 
@@ -169,14 +169,14 @@ class Call(ThreadOp):
     fn: Callable[[Any, Any], Any]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RecvFromSocket(ThreadOp):
     """``recvmsg`` on a UDP socket: syscall + block if empty + wakeup."""
 
     socket: Any
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SendDatagram(ThreadOp):
     """``sendmsg`` on a UDP socket: syscall + netstack TX + NIC submit."""
 

@@ -57,7 +57,8 @@ class Scheduler:
             return min(self.idle_cores)
         if last is not None:
             return last
-        return min(range(self.n_cores), key=lambda c: len(self._queues[c]))
+        lengths = list(map(len, self._queues))
+        return lengths.index(min(lengths))
 
     def enqueue(self, thread: OsThread, core_id: Optional[int] = None) -> int:
         """Make ``thread`` runnable on ``core_id`` (or auto-placed).
@@ -101,16 +102,16 @@ class Scheduler:
         return thread
 
     def _steal_for(self, core_id: int) -> Optional[OsThread]:
-        # Never pick the requesting core as its own victim, and leave a
-        # victim with a single queued thread alone — taking its only
+        # The victim is the first longest queue in core order.  Never
+        # pick the requesting core (its length is masked out), and leave
+        # a victim with a single queued thread alone — taking its only
         # work just moves the imbalance instead of fixing it.
-        others = [c for c in range(self.n_cores) if c != core_id]
-        if not others:
+        lengths = list(map(len, self._queues))
+        lengths[core_id] = -1
+        longest = max(lengths)
+        if longest < 2:
             return None
-        victim = max(others, key=lambda c: len(self._queues[c]))
-        queue = self._queues[victim]
-        if len(queue) < 2:
-            return None
+        queue = self._queues[lengths.index(longest)]
         # Steal only unpinned work, from the tail (coldest).
         for index in range(len(queue) - 1, -1, -1):
             candidate = queue[index]

@@ -39,7 +39,7 @@ class RpcType(enum.IntEnum):
     ERROR = 2
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RpcHeader:
     """The fixed RPC header."""
 
@@ -88,7 +88,7 @@ class RpcHeader:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RpcMessage:
     """A complete RPC message: header plus marshalled payload bytes."""
 

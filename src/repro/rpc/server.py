@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..net.crypto import software_crypto_instructions
 from ..net.headers import HeaderError, MacAddress
 from ..net.packet import Frame, build_udp_frame, parse_udp_frame
 from ..os import ops
@@ -75,8 +76,6 @@ def _execute_rpc(registry: ServiceRegistry, message: RpcMessage):
     (method, args, result_payload, unmarshal_cost, handler_cost,
     marshal_cost) so the caller can charge them.  Unmarshal/marshal
     costs include software AEAD open/seal for encrypted services."""
-    from ..net.crypto import software_crypto_instructions
-
     service, method = registry.resolve(
         message.header.service_id, message.header.method_id
     )

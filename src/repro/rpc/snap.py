@@ -24,8 +24,16 @@ from dataclasses import dataclass, field
 from ..net.headers import HeaderError
 from ..net.packet import parse_udp_frame
 from ..os import ops
-from ..sim.engine import Event, Simulator
-from .marshal import MarshalError, marshal_args, unmarshal_args
+from ..sim.engine import AnyOf, Event, Simulator
+from ..sim.resources import Gate
+from .marshal import (
+    MarshalError,
+    count_fields,
+    marshal_args,
+    software_marshal_instructions,
+    software_unmarshal_instructions,
+    unmarshal_args,
+)
 from .message import RpcError, RpcMessage, RpcType
 from .server import RPC_HEADER_DECODE_INSTRUCTIONS, USER_PARSE_INSTRUCTIONS, UserNetContext
 from .service import ServiceError, ServiceRegistry
@@ -38,7 +46,7 @@ CHANNEL_OP_INSTRUCTIONS = 120
 ENGINE_TX_INSTRUCTIONS = 150
 
 
-@dataclass
+@dataclass(slots=True)
 class _Work:
     """One decoded request travelling engine -> worker."""
 
@@ -81,8 +89,6 @@ class SnapEngine:
 
     def __init__(self, sim: Simulator, registry: ServiceRegistry,
                  netctx: UserNetContext):
-        from ..sim.resources import Gate
-
         self.sim = sim
         self.registry = registry
         self.netctx = netctx
@@ -115,8 +121,6 @@ def _engine_poll_op(nic, queue_list, engine: SnapEngine):
     """
 
     def poll(core, thread):
-        from ..sim.engine import AnyOf
-
         params = nic.params
         sweep = params.pmd_poll_instructions * (len(queue_list) + 1)
         quantum_ns = 1_000_000.0
@@ -203,12 +207,6 @@ def snap_worker_body(engine: SnapEngine, service, max_requests=None):
         try:
             args = unmarshal_args(message.payload) if message.payload else []
             method = service.method(message.header.method_id)
-            from .marshal import (
-                count_fields,
-                software_marshal_instructions,
-                software_unmarshal_instructions,
-            )
-
             yield ops.Exec(software_unmarshal_instructions(
                 count_fields(args), len(message.payload)))
             yield ops.Exec(method.cost_for(args))

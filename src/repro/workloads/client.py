@@ -23,7 +23,7 @@ from ..sim.engine import Event, Simulator
 __all__ = ["RpcResult", "ClientNode"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RpcResult:
     """Outcome of one RPC seen from the client."""
 

@@ -1,6 +1,10 @@
 """SLO engine: ledgers, burn windows, alert latching, exhaustion."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
@@ -232,3 +236,102 @@ def test_unarmed_recorder_never_touches_tracker():
     root = recorder.start_trace("rpc", "client")
     sim.now = 500.0
     recorder.finish(root)           # no tracker anywhere: no crash
+
+
+# -- the early-stopping timeout scan against the full scan -------------------
+
+
+class _FullScanTracker(SLOTracker):
+    """The reference timeout scan: every open root against every spec,
+    at every evaluation."""
+
+    def _charge_timeouts(self, now_ns):
+        expired = []
+        for span_id, span in self._open.items():
+            age = now_ns - span.start_ns
+            charged = False
+            for spec in self.specs:
+                if spec.timeout_ns is None or age <= spec.timeout_ns:
+                    continue
+                if not spec.matches(span.fields):
+                    continue
+                ledger = self._ledgers[spec.name]
+                ledger.total += 1
+                ledger.bad += 1
+                ledger.timeouts += 1
+                ledger.events.append((now_ns, True))
+                charged = True
+            if charged:
+                expired.append(span_id)
+        for span_id in expired:
+            del self._open[span_id]
+            self._timed_out.add(span_id)
+
+
+class _Both:
+    """One span feed into two trackers."""
+
+    def __init__(self, *trackers):
+        self.trackers = trackers
+
+    def note_root_start(self, span):
+        for tracker in self.trackers:
+            tracker.note_root_start(span)
+
+    def observe_root(self, span):
+        for tracker in self.trackers:
+            tracker.observe_root(span)
+
+
+_specs = st.lists(
+    st.fixed_dictionaries({
+        "tenant": st.sampled_from([None, "a", "b"]),
+        "timeout_ns": st.one_of(st.none(), st.integers(1, 400).map(float),
+                                st.floats(0.5, 400.0)),
+        "latency_threshold_ns": st.integers(10, 300).map(float),
+    }),
+    min_size=1, max_size=4,
+).map(lambda rows: [_spec(name=f"s{i}", min_requests=2, **row)
+                    for i, row in enumerate(rows)])
+
+_steps = st.lists(st.one_of(
+    st.tuples(st.just("start"), st.sampled_from([None, "a", "b"])),
+    st.tuples(st.just("finish"), st.integers(0, 50)),
+    st.tuples(st.just("advance"),
+              st.one_of(st.integers(0, 150).map(float),
+                        st.floats(0.0, 150.0))),
+    st.tuples(st.just("window"), st.none()),
+), max_size=120)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_specs, _steps)
+def test_early_stopping_scan_matches_full_scan(specs, steps):
+    sim = Simulator()
+    fast, full = SLOTracker(sim, specs), _FullScanTracker(sim, specs)
+    recorder = SpanRecorder(sim)
+    recorder.slo = _Both(fast, full)
+    roots = []
+    charged = {fast: [], full: []}
+    for kind, arg in steps + [("window", None)]:
+        if kind == "start":
+            fields = {} if arg is None else {"tenant": arg}
+            roots.append(recorder.start_trace("rpc", "client", **fields))
+        elif kind == "finish" and roots:
+            recorder.finish(roots.pop(arg % len(roots)))
+        elif kind == "advance":
+            sim.now += arg
+        elif kind == "window":
+            for tracker in (fast, full):
+                before = list(tracker._open)
+                tracker.evaluate(sim.now)
+                charged[tracker].append(
+                    [sid for sid in before if sid not in tracker._open])
+    assert charged[fast] == charged[full]
+    assert fast._timed_out == full._timed_out
+    assert list(fast._open) == list(full._open)
+    assert ([alert.as_dict() for alert in fast.alerts]
+            == [alert.as_dict() for alert in full.alerts])
+    for name in fast._ledgers:
+        assert (dataclasses.asdict(fast._ledgers[name])
+                == dataclasses.asdict(full._ledgers[name]))

@@ -1,6 +1,8 @@
 """Unit tests for run-queue placement and stealing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.os.process import OsProcess, OsThread, ThreadState
 from repro.os.scheduler import Scheduler
@@ -153,3 +155,65 @@ def test_enqueue_done_thread_rejected():
     t.state = ThreadState.DONE
     with pytest.raises(ValueError):
         sched.enqueue(t)
+
+
+# -- victim and fallback choice against the per-core key expressions -------
+
+def _loaded(depths, pinned_tail):
+    """A scheduler whose core ``c`` queues ``depths[c]`` threads; the
+    last ``pinned_tail[c]`` of them are pinned to ``c``."""
+    sched = Scheduler(len(depths), steal=True)
+    tid = 0
+    for core, depth in enumerate(depths):
+        for index in range(depth):
+            tid += 1
+            pinned = core if index >= depth - pinned_tail[core] else None
+            sched.enqueue(make_thread(tid, pinned=pinned), core_id=core)
+    return sched
+
+
+def _reference_steal(sched, core_id):
+    """The reference steal: a per-core key over the other cores."""
+    others = [c for c in range(sched.n_cores) if c != core_id]
+    if not others:
+        return None
+    victim = max(others, key=lambda c: len(sched._queues[c]))
+    queue = sched._queues[victim]
+    if len(queue) < 2:
+        return None
+    for index in range(len(queue) - 1, -1, -1):
+        if queue[index].pinned_core is None:
+            return queue[index]
+    return None
+
+
+_depths = st.lists(st.integers(0, 4), min_size=1, max_size=64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_depths, st.data())
+def test_steal_victim_matches_per_core_max(depths, data):
+    pinned_tail = data.draw(st.lists(
+        st.integers(0, 4), min_size=len(depths), max_size=len(depths)))
+    core_id = data.draw(st.integers(0, len(depths) - 1))
+    sched = _loaded(depths, pinned_tail)
+    before = [sched.queued_threads(c) for c in range(len(depths))]
+    expected = _reference_steal(sched, core_id)
+    assert sched._steal_for(core_id) is expected
+    after = [sched.queued_threads(c) for c in range(len(depths))]
+    if expected is None:
+        assert after == before
+    else:
+        victim = next(c for c, queue in enumerate(before) if expected in queue)
+        assert victim != core_id
+        assert after[victim] == tuple(t for t in before[victim]
+                                      if t is not expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_depths)
+def test_least_loaded_fallback_matches_per_core_min(depths):
+    sched = _loaded(depths, [0] * len(depths))
+    expected = min(range(len(depths)), key=lambda c: len(sched._queues[c]))
+    # No pin, no previous core, no idle core: the least-loaded queue.
+    assert sched.choose_core(make_thread(10_000)) == expected
