@@ -278,6 +278,12 @@ def _install_scheduler_checks(reg: CheckRegistry, kernel) -> None:
                         f"thread {thread.name!r} pinned to core "
                         f"{thread.pinned_core} but queued on {core_id}"
                     )
+        held = sum(scheduler.queue_lengths())
+        if held != scheduler.total_queued():
+            problems.append(
+                f"scheduler counts {scheduler.total_queued()} queued "
+                f"thread(s) but its run queues hold {held}"
+            )
         stats = kernel.stats
         for name in ("context_switches", "thread_switches", "irqs",
                      "ipis", "preemptions", "syscalls"):

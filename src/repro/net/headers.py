@@ -11,7 +11,7 @@ import struct
 from dataclasses import dataclass
 from typing import Optional
 
-from .checksum import internet_checksum
+from .checksum import internet_checksum, verify_checksum
 
 __all__ = [
     "MacAddress",
@@ -21,18 +21,33 @@ __all__ = [
     "HeaderError",
     "ETHERTYPE_IPV4",
     "IPPROTO_UDP",
+    "pack_udp_frame_headers",
+    "unpack_udp_frame",
     "frame_dst_mac",
     "frame_flow",
 ]
 
 ETHERTYPE_IPV4 = 0x0800
 IPPROTO_UDP = 17
+#: IPv4 version 4 with a five-word header: the only form built or accepted
+_VERSION_IHL = 0x45
+_DEFAULT_TTL = 64
 
+#: each header's fields, in wire order (network byte order)
+_ETHERNET_FIELDS = "HIHIH"  # MACs as high 16 + low 32 bits
+_IPV4_FIELDS = "BBHHHBBHII"
+_UDP_FIELDS = "HHHH"
 #: decoders compiled once; ``unpack_from`` reads in place at an offset,
 #: so no layer copies the frame behind its header to decode it
-_ETHERNET = struct.Struct("!HIHIH")  # MACs as high 16 + low 32 bits
-_IPV4 = struct.Struct("!BBHHHBBHII")
-_UDP = struct.Struct("!HHHH")
+_ETHERNET = struct.Struct("!" + _ETHERNET_FIELDS)
+_IPV4 = struct.Struct("!" + _IPV4_FIELDS)
+_UDP = struct.Struct("!" + _UDP_FIELDS)
+#: the three headers of an Ethernet/IPv4/UDP frame back to back (42 B)
+_UDP_FRAME = struct.Struct(
+    "!" + _ETHERNET_FIELDS + _IPV4_FIELDS + _UDP_FIELDS)
+#: the RFC 768 pseudo-header (addresses, zero, protocol, UDP length)
+#: then the UDP header with its checksum field zeroed
+_UDP_PSEUDO = struct.Struct("!IIxBH" "HHH2x")
 #: what a switch hashes per hop: the ethertype, IPv4 version/IHL and
 #: addresses, and the UDP ports, read straight off the frame
 _FLOW = struct.Struct("!12xHB11xIIHH")
@@ -110,16 +125,15 @@ class Ipv4Header:
     dst: int
     total_length: int
     protocol: int = IPPROTO_UDP
-    ttl: int = 64
+    ttl: int = _DEFAULT_TTL
     identification: int = 0
     dscp: int = 0
 
     SIZE = 20
 
     def pack(self) -> bytes:
-        version_ihl = (4 << 4) | 5
         header = _IPV4.pack(
-            version_ihl,
+            _VERSION_IHL,
             self.dscp << 2,
             self.total_length,
             self.identification,
@@ -194,22 +208,80 @@ class UdpHeader:
         src_ip: int, dst_ip: int, src_port: int, dst_port: int, payload: bytes
     ) -> int:
         length = UdpHeader.SIZE + len(payload)
-        pseudo = struct.pack(
-            "!4s4sBBH",
-            src_ip.to_bytes(4, "big"),
-            dst_ip.to_bytes(4, "big"),
-            0,
-            IPPROTO_UDP,
-            length,
-        )
-        segment = _UDP.pack(src_port, dst_port, length, 0) + payload
-        checksum = internet_checksum(pseudo + segment)
+        checksum = internet_checksum(_UDP_PSEUDO.pack(
+            src_ip, dst_ip, IPPROTO_UDP, length, src_port, dst_port, length)
+            + payload)
         # RFC 768: a computed zero is transmitted as all ones.
         return checksum or 0xFFFF
 
 
-#: frame bytes up to the end of the UDP header
-_UDP_END = EthernetHeader.SIZE + Ipv4Header.SIZE + UdpHeader.SIZE
+#: frame offsets of the IPv4 header, the UDP header and the payload
+_IP_START = EthernetHeader.SIZE
+_UDP_START = _IP_START + Ipv4Header.SIZE
+_UDP_END = _UDP_START + UdpHeader.SIZE
+#: the IPv4 header words a built frame never varies: version/IHL with
+#: DSCP 0, and TTL/protocol; identification and flags/fragment are zero
+_IPV4_FIXED_WORDS = (_VERSION_IHL << 8) + (_DEFAULT_TTL << 8 | IPPROTO_UDP)
+
+
+def pack_udp_frame_headers(dst_mac: MacAddress, src_mac: MacAddress,
+                           src_ip: int, dst_ip: int, src_port: int,
+                           dst_port: int, payload: bytes) -> bytes:
+    """The Ethernet, IPv4 and UDP headers in front of ``payload``, packed
+    in one call: the bytes :class:`EthernetHeader`, a default
+    :class:`Ipv4Header` and :class:`UdpHeader` pack, both checksums
+    computed."""
+    udp_length = UdpHeader.SIZE + len(payload)
+    total_length = Ipv4Header.SIZE + udp_length
+    # RFC 1071 over the IPv4 header's 16-bit words: their sum is
+    # positive, so its end-around-carry fold is sum % 0xFFFF, or 0xFFFF
+    # for a multiple of 0xFFFF.
+    words = (_IPV4_FIXED_WORDS + total_length + (src_ip >> 16)
+             + (src_ip & 0xFFFF) + (dst_ip >> 16) + (dst_ip & 0xFFFF))
+    dst, src = dst_mac.value, src_mac.value
+    return _UDP_FRAME.pack(
+        dst >> 32, dst & 0xFFFFFFFF, src >> 32, src & 0xFFFFFFFF,
+        ETHERTYPE_IPV4,
+        _VERSION_IHL, 0, total_length, 0, 0, _DEFAULT_TTL, IPPROTO_UDP,
+        0xFFFF - (words % 0xFFFF or 0xFFFF), src_ip, dst_ip,
+        src_port, dst_port, udp_length,
+        UdpHeader.compute_checksum(src_ip, dst_ip, src_port, dst_port,
+                                   payload),
+    )
+
+
+def unpack_udp_frame(
+    raw: bytes, verify: bool = True,
+) -> Optional[tuple[Ipv4Header, UdpHeader, bytes]]:
+    """The IPv4 header, UDP header and payload of an Ethernet/IPv4/UDP
+    frame, its three headers read in one call.
+
+    None when the frame is shorter than the headers or fails any check
+    of the per-header decoders: ethertype, version and IHL, protocol,
+    IPv4 length, UDP length and, under ``verify``, both checksums.  The
+    caller decodes such a frame header by header to name the fault.
+    """
+    if len(raw) < _UDP_END:
+        return None
+    (_dst_hi, _dst_lo, _src_hi, _src_lo, ethertype,
+     version_ihl, dscp_ecn, total_length, identification, _flags_frag,
+     ttl, protocol, _ip_checksum, src_ip, dst_ip,
+     src_port, dst_port, udp_length, checksum) = _UDP_FRAME.unpack_from(raw)
+    payload = raw[_UDP_END:_UDP_START + udp_length]
+    if (ethertype != ETHERTYPE_IPV4 or version_ihl != _VERSION_IHL
+            or protocol != IPPROTO_UDP
+            or len(raw) < _IP_START + total_length
+            or len(payload) != udp_length - UdpHeader.SIZE):
+        return None
+    if verify and not (
+            verify_checksum(raw[_IP_START:_UDP_START])
+            and (not checksum or checksum == UdpHeader.compute_checksum(
+                src_ip, dst_ip, src_port, dst_port, payload))):
+        return None
+    return (Ipv4Header(src_ip, dst_ip, total_length, protocol, ttl,
+                       identification, dscp_ecn >> 2),
+            UdpHeader(src_port, dst_port, udp_length, checksum),
+            payload)
 
 
 def frame_dst_mac(raw: bytes) -> int:
@@ -231,6 +303,6 @@ def frame_flow(raw: bytes) -> Optional[tuple[int, int, int, int]]:
         return None
     ethertype, version_ihl, src, dst, src_port, dst_port = (
         _FLOW.unpack_from(raw))
-    if ethertype != ETHERTYPE_IPV4 or version_ihl != 0x45:
+    if ethertype != ETHERTYPE_IPV4 or version_ihl != _VERSION_IHL:
         return None
     return src, dst, src_port, dst_port

@@ -9,7 +9,8 @@ break delivery — the same failure surface as hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 from .headers import (
     ETHERTYPE_IPV4,
@@ -19,6 +20,8 @@ from .headers import (
     Ipv4Header,
     MacAddress,
     UdpHeader,
+    pack_udp_frame_headers,
+    unpack_udp_frame,
 )
 
 __all__ = ["Frame", "ParsedUdp", "build_udp_frame", "parse_udp_frame", "ip_address"]
@@ -118,12 +121,26 @@ class Frame:
 
 @dataclass(slots=True)
 class ParsedUdp:
-    """A fully decoded UDP-in-IPv4-in-Ethernet frame."""
+    """A decoded UDP-in-IPv4-in-Ethernet frame.
 
-    eth: EthernetHeader
+    The Ethernet header is decoded from ``raw`` on the first read of
+    :attr:`eth`; most receive paths never read it.
+    """
+
     ip: Ipv4Header
     udp: UdpHeader
     payload: bytes
+    #: the frame's bytes
+    raw: bytes
+    _eth: Optional[EthernetHeader] = field(default=None, repr=False,
+                                           compare=False)
+
+    @property
+    def eth(self) -> EthernetHeader:
+        eth = self._eth
+        if eth is None:
+            eth = self._eth = EthernetHeader.unpack(self.raw)
+        return eth
 
 
 def build_udp_frame(
@@ -138,23 +155,28 @@ def build_udp_frame(
     meta: dict | None = None,
 ) -> Frame:
     """Assemble a byte-exact UDP frame with valid checksums."""
-    udp_length = UdpHeader.SIZE + len(payload)
-    checksum = UdpHeader.compute_checksum(src_ip, dst_ip, src_port, dst_port, payload)
-    udp = UdpHeader(src_port, dst_port, udp_length, checksum)
-    ip = Ipv4Header(
-        src=src_ip,
-        dst=dst_ip,
-        total_length=Ipv4Header.SIZE + udp_length,
-        protocol=IPPROTO_UDP,
-    )
-    eth = EthernetHeader(dst=dst_mac, src=src_mac, ethertype=ETHERTYPE_IPV4)
-    data = eth.pack() + ip.pack() + udp.pack() + payload
-    return Frame(data=data, born_ns=born_ns, meta=meta or None)
+    data = pack_udp_frame_headers(dst_mac, src_mac, src_ip, dst_ip,
+                                  src_port, dst_port, payload) + payload
+    return Frame(data, born_ns, meta)
 
 
 def parse_udp_frame(frame: Frame, verify: bool = True) -> ParsedUdp:
-    """Decode an Ethernet/IPv4/UDP frame; raises HeaderError if invalid."""
+    """Decode an Ethernet/IPv4/UDP frame; raises HeaderError if invalid.
+
+    The three headers are read in one call.  A frame that fails any
+    check, or is too short for them, is decoded again header by header,
+    which raises the error that names the first fault.
+    """
     raw = frame.data
+    headers = unpack_udp_frame(raw, verify)
+    if headers is None:
+        return _parse_per_header(raw, verify)
+    return ParsedUdp(*headers, raw)
+
+
+def _parse_per_header(raw: bytes, verify: bool) -> ParsedUdp:
+    """:func:`parse_udp_frame` one header decoder at a time: each check
+    in wire order, each raising its own :class:`HeaderError`."""
     eth = EthernetHeader.unpack(raw)
     if eth.ethertype != ETHERTYPE_IPV4:
         raise HeaderError(f"not IPv4: ethertype={eth.ethertype:#06x}")
@@ -178,4 +200,4 @@ def parse_udp_frame(frame: Frame, verify: bool = True) -> ParsedUdp:
         )
         if expected != udp.checksum:
             raise HeaderError("UDP checksum mismatch")
-    return ParsedUdp(eth=eth, ip=ip, udp=udp, payload=payload)
+    return ParsedUdp(ip, udp, payload, raw, eth)

@@ -84,10 +84,13 @@ FLAG_RESP_VALID = 0x01
 REQ_INLINE_OFFSET = 48
 RESP_INLINE_OFFSET = 16
 
-_REQ_HEADER = "!BBHIQQIQQ"  # through dma_addr (44 bytes), then pad to 48
-assert struct.calcsize(_REQ_HEADER) == 44
-_RESP_HEADER = "!BBHIQ"
-assert struct.calcsize(_RESP_HEADER) == 16
+#: the request CONTROL header: fields through dma_addr, then reserved
+_REQ_HEADER = struct.Struct("!BBHIQQIQQ4x")
+assert _REQ_HEADER.size == REQ_INLINE_OFFSET
+#: the response CONTROL header, and its DMA-staged form with dma_addr
+_RESP_HEADER = struct.Struct("!BBHIQ")
+assert _RESP_HEADER.size == RESP_INLINE_OFFSET
+_RESP_DMA = struct.Struct("!BBHIQQ")
 
 
 @dataclass(slots=True)
@@ -191,19 +194,9 @@ def encode_request(
         aux = [rest[i : i + line_bytes] for i in range(0, len(rest), line_bytes)]
     if len(aux) > 255:
         raise WireFormatError(f"payload needs {len(aux)} AUX lines (max 255)")
-    header = struct.pack(
-        _REQ_HEADER,
-        flags,
-        len(aux),
-        method_id,
-        service_id,
-        code_ptr,
-        data_ptr,
-        len(payload),
-        tag,
-        dma_addr,
-    )
-    control = header + b"\x00" * (REQ_INLINE_OFFSET - len(header)) + inline
+    control = _REQ_HEADER.pack(
+        flags, len(aux), method_id, service_id, code_ptr, data_ptr,
+        len(payload), tag, dma_addr) + inline
     if len(control) > line_bytes:
         raise WireFormatError("control line overflow")
     return control.ljust(line_bytes, b"\x00"), [a.ljust(line_bytes, b"\x00") for a in aux]
@@ -213,24 +206,13 @@ def decode_request_line(data: bytes) -> RequestLine:
     if len(data) < REQ_INLINE_OFFSET:
         raise WireFormatError(f"control line too short: {len(data)} B")
     (flags, n_aux, method_id, service_id, code_ptr, data_ptr, payload_len,
-     tag, dma_addr) = struct.unpack(_REQ_HEADER, data[:44])
-    inline = data[REQ_INLINE_OFFSET:]
-    if not flags & FLAG_DMA_FALLBACK:
-        inline = inline[: max(0, min(payload_len, len(inline)))]
-    else:
+     tag, dma_addr) = _REQ_HEADER.unpack_from(data)
+    if flags & FLAG_DMA_FALLBACK:
         inline = b""
-    return RequestLine(
-        flags=flags,
-        n_aux=n_aux,
-        method_id=method_id,
-        service_id=service_id,
-        code_ptr=code_ptr,
-        data_ptr=data_ptr,
-        payload_len=payload_len,
-        tag=tag,
-        dma_addr=dma_addr,
-        inline=inline,
-    )
+    else:
+        inline = data[REQ_INLINE_OFFSET:REQ_INLINE_OFFSET + payload_len]
+    return RequestLine(flags, n_aux, method_id, service_id, code_ptr,
+                       data_ptr, payload_len, tag, dma_addr, inline)
 
 
 def assemble_request_payload(line: RequestLine, aux_lines: list[bytes]) -> bytes:
@@ -258,8 +240,8 @@ def encode_response(
     aux = [rest[i : i + line_bytes] for i in range(0, len(rest), line_bytes)]
     if len(aux) > 255:
         raise WireFormatError(f"response needs {len(aux)} AUX lines (max 255)")
-    header = struct.pack(_RESP_HEADER, FLAG_RESP_VALID, len(aux), 0, len(payload), tag)
-    control = header + inline
+    control = _RESP_HEADER.pack(
+        FLAG_RESP_VALID, len(aux), 0, len(payload), tag) + inline
     return control.ljust(line_bytes, b"\x00"), [a.ljust(line_bytes, b"\x00") for a in aux]
 
 
@@ -267,10 +249,8 @@ def encode_response_dma(
     line_bytes: int, tag: int, resp_len: int, dma_addr: int
 ) -> bytes:
     """Response CONTROL line for a DMA-staged payload (no AUX lines)."""
-    header = struct.pack(
-        _RESP_HEADER, FLAG_RESP_VALID | FLAG_RESP_DMA, 0, 0, resp_len, tag
-    )
-    control = header + struct.pack("!Q", dma_addr)
+    control = _RESP_DMA.pack(
+        FLAG_RESP_VALID | FLAG_RESP_DMA, 0, 0, resp_len, tag, dma_addr)
     if len(control) > line_bytes:
         raise WireFormatError("response control line overflow")
     return control.ljust(line_bytes, b"\x00")
@@ -284,36 +264,30 @@ def decode_response(data: bytes, aux_lines: list[bytes]) -> tuple[ResponseLine, 
     """
     if len(data) < RESP_INLINE_OFFSET:
         raise WireFormatError(f"response line too short: {len(data)} B")
-    flags, n_aux, _rsvd, resp_len, tag = struct.unpack(_RESP_HEADER, data[:16])
+    flags, n_aux, _rsvd, resp_len, tag = _RESP_HEADER.unpack_from(data)
     if flags & FLAG_RESP_DMA:
-        if len(data) < RESP_INLINE_OFFSET + 8:
+        if len(data) < _RESP_DMA.size:
             raise WireFormatError("DMA response line truncated")
-        dma_addr = struct.unpack(
-            "!Q", data[RESP_INLINE_OFFSET : RESP_INLINE_OFFSET + 8]
-        )[0]
-        line = ResponseLine(flags=flags, n_aux=0, resp_len=resp_len, tag=tag,
-                            inline=b"", dma_addr=dma_addr)
+        dma_addr = _RESP_DMA.unpack_from(data)[5]
+        line = ResponseLine(flags, 0, resp_len, tag, b"", dma_addr)
         return line, b""
-    inline = data[RESP_INLINE_OFFSET:]
-    line = ResponseLine(
-        flags=flags, n_aux=n_aux, resp_len=resp_len, tag=tag,
-        inline=inline[: min(resp_len, len(inline))],
-    )
-    buffer = bytearray(line.inline)
-    remaining = resp_len - len(buffer)
+    inline = data[RESP_INLINE_OFFSET:RESP_INLINE_OFFSET + resp_len]
+    line = ResponseLine(flags, n_aux, resp_len, tag, inline)
+    chunks = [inline]
+    remaining = resp_len - len(inline)
     for aux in aux_lines:
-        take = min(remaining, len(aux))
-        buffer += aux[:take]
-        remaining -= take
+        if not remaining:
+            break
+        chunk = aux[:remaining]
+        chunks.append(chunk)
+        remaining -= len(chunk)
     if remaining > 0:
         raise WireFormatError(f"response short by {remaining} B")
-    return line, bytes(buffer)
+    return line, b"".join(chunks)
 
 
 def _flag_only_line(line_bytes: int, flags: int) -> bytes:
-    header = struct.pack(
-        _REQ_HEADER, flags, 0, 0, 0, 0, 0, 0, 0, 0
-    )
+    header = _REQ_HEADER.pack(flags, 0, 0, 0, 0, 0, 0, 0, 0)
     return header.ljust(line_bytes, b"\x00")
 
 
@@ -329,7 +303,6 @@ def retire_line(line_bytes: int) -> bytes:
 
 def sched_hint_line(line_bytes: int, service_id: int, backlog: int) -> bytes:
     """NIC -> kernel load information (Section 5.2)."""
-    header = struct.pack(
-        _REQ_HEADER, FLAG_SCHED_HINT, 0, 0, service_id, 0, 0, backlog, 0, 0
-    )
+    header = _REQ_HEADER.pack(
+        FLAG_SCHED_HINT, 0, 0, service_id, 0, 0, backlog, 0, 0)
     return header.ljust(line_bytes, b"\x00")

@@ -24,6 +24,8 @@ class Scheduler:
         self.n_cores = n_cores
         self.steal = steal
         self._queues: list[deque[OsThread]] = [deque() for _ in range(n_cores)]
+        #: threads queued over all cores, kept with every queue change
+        self._n_queued = 0
         #: cores currently in the idle loop (maintained by the kernel)
         self.idle_cores: set[int] = set()
         #: per-thread last core, for cache-affine wake placement
@@ -35,7 +37,7 @@ class Scheduler:
         return len(self._queues[core_id])
 
     def total_queued(self) -> int:
-        return sum(len(q) for q in self._queues)
+        return self._n_queued
 
     def queue_lengths(self) -> tuple[int, ...]:
         """Per-core run-queue depths (window probe for time series)."""
@@ -71,6 +73,7 @@ class Scheduler:
             core_id = self.choose_core(thread)
         thread.state = ThreadState.READY
         queue = self._queues[core_id]
+        self._n_queued += 1
         # Priority 0 is normal; lower numbers run sooner.  FIFO within a
         # priority level: insert before the first lower-priority (higher
         # number) entry.  The tail check keeps the all-equal-priority
@@ -93,6 +96,7 @@ class Scheduler:
         queue = self._queues[core_id]
         if queue:
             thread = queue.popleft()
+            self._n_queued -= 1
         elif self.steal:
             thread = self._steal_for(core_id)
         else:
@@ -105,7 +109,10 @@ class Scheduler:
         # The victim is the first longest queue in core order.  Never
         # pick the requesting core (its length is masked out), and leave
         # a victim with a single queued thread alone — taking its only
-        # work just moves the imbalance instead of fixing it.
+        # work just moves the imbalance instead of fixing it.  With
+        # fewer than two threads queued anywhere no queue holds two.
+        if self._n_queued < 2:
+            return None
         lengths = list(map(len, self._queues))
         lengths[core_id] = -1
         longest = max(lengths)
@@ -117,6 +124,7 @@ class Scheduler:
             candidate = queue[index]
             if candidate.pinned_core is None:
                 del queue[index]
+                self._n_queued -= 1
                 return candidate
         return None
 
@@ -125,7 +133,8 @@ class Scheduler:
         for queue in self._queues:
             try:
                 queue.remove(thread)
-                return True
             except ValueError:
                 continue
+            self._n_queued -= 1
+            return True
         return False

@@ -43,14 +43,23 @@ _TAG_LIST = 5
 _TAG_NONE = 6
 _TAG_BOOL = 7
 
+#: one wire layout each: a tag byte and its fixed-size body (9, 9, 5
+#: and 3 bytes), packed and read in place together
+_INT = struct.Struct("!Bq")
+_FLOAT = struct.Struct("!Bd")
+_SIZED = struct.Struct("!BI")  # bytes and str: tag, byte length
+_LIST = struct.Struct("!BH")  # tag, element count
+_NONE = bytes([_TAG_NONE])
+_TRUE = bytes([_TAG_BOOL, 1])
+_FALSE = bytes([_TAG_BOOL, 0])
+
 
 def marshal_args(args: Sequence[Any]) -> bytes:
     """Encode a sequence of arguments into payload bytes."""
     if len(args) > 255:
         raise MarshalError(f"too many arguments: {len(args)}")
     out = bytearray([len(args)])
-    for arg in args:
-        out += _encode(arg)
+    _encode_into(out, args)
     return bytes(out)
 
 
@@ -58,80 +67,107 @@ def unmarshal_args(payload: bytes) -> list[Any]:
     """Decode payload bytes back into a list of arguments."""
     if not payload:
         raise MarshalError("empty payload")
-    count = payload[0]
-    offset = 1
-    args: list[Any] = []
-    for _ in range(count):
-        value, offset = _decode(payload, offset)
-        args.append(value)
+    args, offset = _decode_items(payload, 1, payload[0])
     if offset != len(payload):
         raise MarshalError(f"{len(payload) - offset} trailing bytes")
     return args
 
 
-def _encode(value: Any) -> bytes:
+def _encode_into(out: bytearray, values) -> None:
     # bool must be tested before int (bool is an int subclass).
-    if value is None:
-        return bytes([_TAG_NONE])
-    if isinstance(value, bool):
-        return bytes([_TAG_BOOL, 1 if value else 0])
-    if isinstance(value, int):
-        return bytes([_TAG_INT]) + struct.pack("!q", value)
-    if isinstance(value, float):
-        return bytes([_TAG_FLOAT]) + struct.pack("!d", value)
-    if isinstance(value, bytes):
-        return bytes([_TAG_BYTES]) + struct.pack("!I", len(value)) + value
-    if isinstance(value, str):
-        raw = value.encode("utf-8")
-        return bytes([_TAG_STR]) + struct.pack("!I", len(raw)) + raw
-    if isinstance(value, (list, tuple)):
-        if len(value) > 0xFFFF:
-            raise MarshalError(f"list too long: {len(value)}")
-        out = bytearray([_TAG_LIST]) + struct.pack("!H", len(value))
-        for item in value:
-            out += _encode(item)
-        return bytes(out)
-    raise MarshalError(f"unsupported argument type: {type(value).__name__}")
+    for value in values:
+        if value is None:
+            out += _NONE
+        elif isinstance(value, bool):
+            out += _TRUE if value else _FALSE
+        elif isinstance(value, int):
+            try:
+                out += _INT.pack(_TAG_INT, value)
+            except struct.error:
+                raise MarshalError(
+                    "int outside the signed 64-bit range") from None
+        elif isinstance(value, float):
+            out += _FLOAT.pack(_TAG_FLOAT, value)
+        elif isinstance(value, bytes):
+            out += _SIZED.pack(_TAG_BYTES, len(value))
+            out += value
+        elif isinstance(value, str):
+            try:
+                raw = value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise MarshalError("str not encodable as UTF-8") from None
+            out += _SIZED.pack(_TAG_STR, len(raw))
+            out += raw
+        elif isinstance(value, (list, tuple)):
+            if len(value) > 0xFFFF:
+                raise MarshalError(f"list too long: {len(value)}")
+            out += _LIST.pack(_TAG_LIST, len(value))
+            _encode_into(out, value)
+        else:
+            raise MarshalError(
+                f"unsupported argument type: {type(value).__name__}")
 
 
-def _need(payload: bytes, offset: int, n: int) -> None:
-    if offset + n > len(payload):
-        raise MarshalError(f"truncated at offset {offset} (need {n} B)")
+def _truncated(offset: int, need: int) -> MarshalError:
+    return MarshalError(f"truncated at offset {offset} (need {need} B)")
 
 
-def _decode(payload: bytes, offset: int) -> tuple[Any, int]:
-    _need(payload, offset, 1)
-    tag = payload[offset]
-    offset += 1
-    if tag == _TAG_NONE:
-        return None, offset
-    if tag == _TAG_BOOL:
-        _need(payload, offset, 1)
-        return bool(payload[offset]), offset + 1
-    if tag == _TAG_INT:
-        _need(payload, offset, 8)
-        return struct.unpack("!q", payload[offset : offset + 8])[0], offset + 8
-    if tag == _TAG_FLOAT:
-        _need(payload, offset, 8)
-        return struct.unpack("!d", payload[offset : offset + 8])[0], offset + 8
-    if tag in (_TAG_BYTES, _TAG_STR):
-        _need(payload, offset, 4)
-        length = struct.unpack("!I", payload[offset : offset + 4])[0]
-        offset += 4
-        _need(payload, offset, length)
-        raw = payload[offset : offset + length]
-        offset += length
-        return (raw if tag == _TAG_BYTES else raw.decode("utf-8")), offset
-    if tag == _TAG_LIST:
-        _need(payload, offset, 2)
-        count = struct.unpack("!H", payload[offset : offset + 2])[0]
-        offset += 2
-        items = []
-        for _ in range(count):
-            item, offset = _decode(payload, offset)
-            items.append(item)
-        return items, offset
-    raise MarshalError(f"unknown tag {tag} at offset {offset - 1}")
+def _decode_items(payload: bytes, offset: int,
+                  count: int) -> tuple[list[Any], int]:
+    """``count`` encoded values from ``offset``; returns them and the
+    offset after the last.  Bounds are checked before every read, and a
+    truncation names the offset where the failed read starts."""
+    end = len(payload)
+    items: list[Any] = []
+    append = items.append
+    for _ in range(count):
+        if offset >= end:
+            raise _truncated(offset, 1)
+        tag = payload[offset]
+        if tag == _TAG_INT:
+            if offset + 9 > end:
+                raise _truncated(offset + 1, 8)
+            append(_INT.unpack_from(payload, offset)[1])
+            offset += 9
+        elif tag == _TAG_BYTES or tag == _TAG_STR:
+            if offset + 5 > end:
+                raise _truncated(offset + 1, 4)
+            length = _SIZED.unpack_from(payload, offset)[1]
+            offset += 5
+            if offset + length > end:
+                raise _truncated(offset, length)
+            raw = payload[offset:offset + length]
+            if tag == _TAG_STR:
+                try:
+                    raw = raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise MarshalError(
+                        f"str at offset {offset} is not valid UTF-8"
+                    ) from None
+            append(raw)
+            offset += length
+        elif tag == _TAG_FLOAT:
+            if offset + 9 > end:
+                raise _truncated(offset + 1, 8)
+            append(_FLOAT.unpack_from(payload, offset)[1])
+            offset += 9
+        elif tag == _TAG_NONE:
+            append(None)
+            offset += 1
+        elif tag == _TAG_BOOL:
+            if offset + 2 > end:
+                raise _truncated(offset + 1, 1)
+            append(payload[offset + 1] != 0)
+            offset += 2
+        elif tag == _TAG_LIST:
+            if offset + 3 > end:
+                raise _truncated(offset + 1, 2)
+            value, offset = _decode_items(
+                payload, offset + 3, _LIST.unpack_from(payload, offset)[1])
+            append(value)
+        else:
+            raise MarshalError(f"unknown tag {tag} at offset {offset}")
+    return items, offset
 
 
 def count_fields(args: Sequence[Any]) -> int:

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 __all__ = ["RpcType", "RpcHeader", "RpcMessage", "RpcError", "RPC_MAGIC"]
 
 RPC_MAGIC = 0x4C42  # "LB"
-_HEADER_FMT = "!HBBIHHQI"
-_HEADER_SIZE = struct.calcsize(_HEADER_FMT)
-assert _HEADER_SIZE == 24
+_HEADER = struct.Struct("!HBBIHHQI")
+assert _HEADER.size == 24
 
 
 class RpcError(ValueError):
@@ -37,6 +36,12 @@ class RpcType(enum.IntEnum):
     REQUEST = 0
     RESPONSE = 1
     ERROR = 2
+
+
+#: the members indexed by their wire value, for a lookup without the
+#: enum call
+_RPC_TYPES = tuple(RpcType)
+assert all(index == member for index, member in enumerate(_RPC_TYPES))
 
 
 @dataclass(slots=True)
@@ -50,42 +55,25 @@ class RpcHeader:
     payload_len: int
     flags: int = 0
 
-    SIZE = _HEADER_SIZE
+    SIZE = _HEADER.size
 
     def pack(self) -> bytes:
-        return struct.pack(
-            _HEADER_FMT,
-            RPC_MAGIC,
-            self.flags,
-            int(self.rpc_type),
-            self.service_id,
-            self.method_id,
-            0,
-            self.request_id,
-            self.payload_len,
-        )
+        return _HEADER.pack(
+            RPC_MAGIC, self.flags, self.rpc_type, self.service_id,
+            self.method_id, 0, self.request_id, self.payload_len)
 
     @classmethod
     def unpack(cls, raw: bytes) -> "RpcHeader":
         if len(raw) < cls.SIZE:
             raise RpcError(f"RPC header truncated: {len(raw)} B")
-        magic, flags, rpc_type, service_id, method_id, _rsvd, request_id, payload_len = (
-            struct.unpack(_HEADER_FMT, raw[: cls.SIZE])
-        )
+        (magic, flags, rpc_type, service_id, method_id, _rsvd, request_id,
+         payload_len) = _HEADER.unpack_from(raw)
         if magic != RPC_MAGIC:
             raise RpcError(f"bad RPC magic: {magic:#06x}")
-        try:
-            parsed_type = RpcType(rpc_type)
-        except ValueError as exc:
-            raise RpcError(f"bad RPC type: {rpc_type}") from exc
-        return cls(
-            rpc_type=parsed_type,
-            service_id=service_id,
-            method_id=method_id,
-            request_id=request_id,
-            payload_len=payload_len,
-            flags=flags,
-        )
+        if rpc_type >= len(_RPC_TYPES):
+            raise RpcError(f"bad RPC type: {rpc_type}")
+        return cls(_RPC_TYPES[rpc_type], service_id, method_id, request_id,
+                   payload_len, flags)
 
 
 @dataclass(slots=True)

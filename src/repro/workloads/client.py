@@ -16,7 +16,7 @@ from typing import Any, Optional, Sequence
 from ..net.headers import HeaderError, MacAddress
 from ..net.link import Port, SwitchFabric
 from ..net.packet import build_udp_frame, parse_udp_frame
-from ..rpc.marshal import marshal_args, unmarshal_args
+from ..rpc.marshal import MarshalError, marshal_args, unmarshal_args
 from ..rpc.message import RpcError, RpcMessage, RpcType
 from ..sim.engine import Event, Simulator
 
@@ -196,7 +196,7 @@ class ClientNode:
                     self.obs.finish(root)
             try:
                 results = unmarshal_args(message.payload) if message.payload else []
-            except Exception:
+            except MarshalError:
                 results = []
             done.succeed(
                 RpcResult(

@@ -9,6 +9,7 @@ import pytest
 from repro.experiments import build_linux_testbed
 from repro.rpc.server import linux_udp_worker
 from repro.sim import MS, US
+from repro.workloads import client as client_module
 
 
 def setup_echo(bed, n_workers=1, port=9000, handler_cost=500):
@@ -152,3 +153,28 @@ def test_worker_blocks_idle_between_requests():
     # During the 5ms idle gap the worker is blocked, not spinning:
     # total busy time must be far below one core-5ms.
     assert bed.machine.total_busy_ns() < 1 * MS
+
+
+def test_malformed_str_argument_gets_an_error_reply(monkeypatch):
+    """A request whose one str argument is not UTF-8 is answered with
+    an error marker, and the worker goes on to serve the next one."""
+    bed = build_linux_testbed()
+    service, method, _sock = setup_echo(bed)
+    client = bed.clients[0]
+    # one argument: a str of 2 bytes, neither of which starts a UTF-8 char
+    malformed = bytes.fromhex("0103" "00000002" "fffe")
+    encode = client_module.marshal_args
+    monkeypatch.setattr(
+        client_module, "marshal_args",
+        lambda args: malformed if args == ["malformed"] else encode(args))
+    results = []
+
+    def driver():
+        for args in (["malformed"], [7, "next"]):
+            result = yield from client.call(
+                args=args, **bed.call_args(service, method))
+            results.append(result.results)
+
+    bed.sim.process(driver())
+    bed.machine.run(until=50 * MS)
+    assert results == [["__rpc_error__", "MarshalError"], [7, "next"]]

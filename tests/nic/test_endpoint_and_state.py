@@ -1,6 +1,8 @@
 """Unit tests for endpoints, the sched table, load stats, and RSS."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hw import Region
 from repro.nic import rss_hash, rss_queue_index
@@ -140,3 +142,26 @@ def test_rss_deterministic_and_spread():
 def test_rss_rejects_zero_queues():
     with pytest.raises(ValueError):
         rss_queue_index(1, 2, 3, 4, 0)
+
+
+def _ref_rss_hash(src_ip, dst_ip, src_port, dst_port):
+    """The reference: FNV-1a over the four fields' bytes, chunk by chunk."""
+    value = 0xCBF29CE484222325
+    for chunk in (
+        src_ip.to_bytes(4, "big"),
+        dst_ip.to_bytes(4, "big"),
+        src_port.to_bytes(2, "big"),
+        dst_port.to_bytes(2, "big"),
+    ):
+        for byte in chunk:
+            value ^= byte
+            value = (value * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 0xFFFFFFFF), st.integers(0, 0xFFFFFFFF),
+       st.integers(0, 0xFFFF), st.integers(0, 0xFFFF))
+def test_rss_hash_equals_the_per_chunk_reference(src, dst, sport, dport):
+    assert rss_hash(src, dst, sport, dport) == _ref_rss_hash(
+        src, dst, sport, dport)

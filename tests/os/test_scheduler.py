@@ -1,7 +1,7 @@
 """Unit tests for run-queue placement and stealing."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.os.process import OsProcess, OsThread, ThreadState
@@ -217,3 +217,43 @@ def test_least_loaded_fallback_matches_per_core_min(depths):
     expected = min(range(len(depths)), key=lambda c: len(sched._queues[c]))
     # No pin, no previous core, no idle core: the least-loaded queue.
     assert sched.choose_core(make_thread(10_000)) == expected
+
+
+# -- the running count of queued threads ---------------------------------------
+
+#: (operation, core, variant); low cores come up often, so queues of
+#: two or more build up even on 64 cores
+_ops = st.lists(st.tuples(st.sampled_from(["enqueue", "pick", "remove"]),
+                          st.one_of(st.integers(0, 2), st.integers(0, 63)),
+                          st.integers(0, 3)),
+                max_size=80)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 64), _ops, st.booleans())
+# the boundary: two queued threads, both on the victim
+@example(2, [("enqueue", 0, 1), ("enqueue", 0, 1), ("pick", 1, 0)], True)
+def test_queued_count_follows_every_queue_change(n_cores, ops, steal):
+    """After every enqueue, pick and remove the count equals the queue
+    lengths' sum, and a pick that steals takes the full scan's thread."""
+    sched = Scheduler(n_cores, steal=steal)
+    threads = []
+    for op, index, extra in ops:
+        core = index % n_cores
+        if op == "enqueue":
+            pinned = core if extra == 0 else None
+            thread = make_thread(len(threads) + 1, pinned=pinned,
+                                 priority=extra % 2)
+            threads.append(thread)
+            sched.enqueue(thread, core_id=None if extra == 3 else core)
+        elif op == "pick":
+            own = sched.queued_threads(core)
+            expected = (own[0] if own else
+                        _reference_steal(sched, core) if steal else None)
+            assert sched.pick_next(core) is expected
+        elif threads:
+            thread = threads[index % len(threads)]
+            queued = any(thread in sched.queued_threads(c)
+                         for c in range(n_cores))
+            assert sched.remove(thread) is queued
+        assert sched.total_queued() == sum(sched.queue_lengths())
