@@ -76,7 +76,7 @@ class _PingDevice(HomeDevice):
             yield self.sim.timeout(self.process_ns)
             event.succeed(FillResponse(data=b"\x01" * MESSAGE_BYTES))
 
-        self.sim.process(respond())
+        self.sim.start(respond())
         return event
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..sim.engine import AllOf, Simulator
+from ..sim.engine import Simulator
 from ..sim.trace import Tracer
 from .coherence import CoherenceFabric
 from .params import CacheParams, CoreParams
@@ -229,16 +229,22 @@ class Core:
             addr_list = list(addrs)
             for base in range(0, len(addr_list), batch_size):
                 batch = addr_list[base : base + batch_size]
-                fills = []
+                # One countdown per batch: the last fill to land fires it.
+                joined = self.sim.event()
+                pending = len(batch)
                 for addr in batch:
                     self.counters.loads += 1
 
                     def one(addr=addr):
+                        nonlocal pending
                         data = yield from self.fabric.load(self.id, addr)
                         results[addr] = data
+                        pending -= 1
+                        if not pending:
+                            joined.succeed()
 
-                    fills.append(self.sim.process(one()))
-                yield AllOf(self.sim, fills)
+                    self.sim.start(one())
+                yield joined
         finally:
             self._stall_open_since = None
         self.counters.stall_ns += self.sim.now - start

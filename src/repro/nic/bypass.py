@@ -225,5 +225,5 @@ class BypassNic(BaseNic):
             yield from self.link.dma_read(len(frame.data))
             self.queue_tx(frame)
 
-        self.sim.process(device_side())
+        self.sim.start(device_side())
         return None

@@ -116,8 +116,7 @@ class DmaNic(BaseNic):
                 # ``queue.completed`` when the NAPI poll finally runs.
                 # Guarded so the 0 default takes the exact pre-existing
                 # inline path.
-                self.sim.process(self._raise_coalesced(queue),
-                                 name=f"{self.name}-coalesce")
+                self.sim.start(self._raise_coalesced(queue))
             else:
                 yield from self.link.raise_interrupt(
                     self.params.interrupt_raise_ns)
@@ -199,5 +198,5 @@ class DmaNic(BaseNic):
             yield from self.link.dma_read(len(frame.data))
             self.queue_tx(frame)
 
-        self.sim.process(device_side())
+        self.sim.start(device_side())
         return None

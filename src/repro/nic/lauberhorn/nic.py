@@ -342,8 +342,7 @@ class LauberhornNic(BaseNic, HomeDevice):
             return
         request = self._next_request_for(ep)
         if request is not None:
-            self.sim.process(self._deliver(ep, parity, event, request),
-                             name=f"{self.name}-deliver-ep{ep.id}")
+            self.sim.start(self._deliver(ep, parity, event, request))
             return
         ep.parked = (core_id, parity, event)
         ep.generation += 1
@@ -500,6 +499,7 @@ class LauberhornNic(BaseNic, HomeDevice):
             if self.fabric.has_holders(ep.aux_addrs[i])
         ]
         if to_recall:
+            # Processes, not Simulator.start: the AllOf joins them.
             recalls = [
                 self.sim.process(self.fabric.device_recall(addr))
                 for addr in to_recall
@@ -626,10 +626,8 @@ class LauberhornNic(BaseNic, HomeDevice):
                     self.line_bytes,
                     self.machine.params.interconnect.bandwidth_bps,
                 )
-        self.sim.process(
-            self._finish_response(ep, inflight, data, aux_payloads, wire_delay),
-            name=f"{self.name}-resp-ep{ep.id}",
-        )
+        self.sim.start(
+            self._finish_response(ep, inflight, data, aux_payloads, wire_delay))
         spec = inflight.request.tenant
         if spec is not None:
             stats = self._table.stats[spec.tenant_id]
@@ -839,10 +837,7 @@ class LauberhornNic(BaseNic, HomeDevice):
 
     def _consume_parked_and_deliver(self, ep: Endpoint, request: PendingRequest) -> None:
         _core, parity, event = ep.unpark()
-        self.sim.process(
-            self._deliver(ep, parity, event, request),
-            name=f"{self.name}-deliver-ep{ep.id}",
-        )
+        self.sim.start(self._deliver(ep, parity, event, request))
 
     def _preempt_a_victim(self, wanting_service_id: int) -> None:
         """Unblock an armed user loop of a *different* service so its

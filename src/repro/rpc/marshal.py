@@ -22,6 +22,7 @@ import struct
 from typing import Any, Sequence
 
 __all__ = [
+    "MAX_NESTING",
     "MarshalError",
     "marshal_args",
     "unmarshal_args",
@@ -53,6 +54,15 @@ _NONE = bytes([_TAG_NONE])
 _TRUE = bytes([_TAG_BOOL, 1])
 _FALSE = bytes([_TAG_BOOL, 0])
 
+#: deepest list nesting that encodes, decodes or counts; each level is
+#: one Python frame, so a deeper payload is a MarshalError rather than
+#: a RecursionError
+MAX_NESTING = 64
+
+
+def _too_deep() -> MarshalError:
+    return MarshalError(f"lists nested more than {MAX_NESTING} deep")
+
 
 def marshal_args(args: Sequence[Any]) -> bytes:
     """Encode a sequence of arguments into payload bytes."""
@@ -73,7 +83,7 @@ def unmarshal_args(payload: bytes) -> list[Any]:
     return args
 
 
-def _encode_into(out: bytearray, values) -> None:
+def _encode_into(out: bytearray, values, depth: int = 0) -> None:
     # bool must be tested before int (bool is an int subclass).
     for value in values:
         if value is None:
@@ -101,8 +111,10 @@ def _encode_into(out: bytearray, values) -> None:
         elif isinstance(value, (list, tuple)):
             if len(value) > 0xFFFF:
                 raise MarshalError(f"list too long: {len(value)}")
+            if depth == MAX_NESTING:
+                raise _too_deep()
             out += _LIST.pack(_TAG_LIST, len(value))
-            _encode_into(out, value)
+            _encode_into(out, value, depth + 1)
         else:
             raise MarshalError(
                 f"unsupported argument type: {type(value).__name__}")
@@ -112,11 +124,12 @@ def _truncated(offset: int, need: int) -> MarshalError:
     return MarshalError(f"truncated at offset {offset} (need {need} B)")
 
 
-def _decode_items(payload: bytes, offset: int,
-                  count: int) -> tuple[list[Any], int]:
-    """``count`` encoded values from ``offset``; returns them and the
-    offset after the last.  Bounds are checked before every read, and a
-    truncation names the offset where the failed read starts."""
+def _decode_items(payload: bytes, offset: int, count: int,
+                  depth: int = 0) -> tuple[list[Any], int]:
+    """``count`` encoded values from ``offset``, inside ``depth``
+    enclosing lists; returns them and the offset after the last.
+    Bounds are checked before every read, and a truncation names the
+    offset where the failed read starts."""
     end = len(payload)
     items: list[Any] = []
     append = items.append
@@ -162,8 +175,11 @@ def _decode_items(payload: bytes, offset: int,
         elif tag == _TAG_LIST:
             if offset + 3 > end:
                 raise _truncated(offset + 1, 2)
+            if depth == MAX_NESTING:
+                raise _too_deep()
             value, offset = _decode_items(
-                payload, offset + 3, _LIST.unpack_from(payload, offset)[1])
+                payload, offset + 3, _LIST.unpack_from(payload, offset)[1],
+                depth + 1)
             append(value)
         else:
             raise MarshalError(f"unknown tag {tag} at offset {offset}")
@@ -172,10 +188,16 @@ def _decode_items(payload: bytes, offset: int,
 
 def count_fields(args: Sequence[Any]) -> int:
     """Number of leaf fields, counting list elements individually."""
+    return _count_fields(args, 0)
+
+
+def _count_fields(values, depth: int) -> int:
     total = 0
-    for arg in args:
-        if isinstance(arg, (list, tuple)):
-            total += count_fields(arg)
+    for value in values:
+        if isinstance(value, (list, tuple)):
+            if depth == MAX_NESTING:
+                raise _too_deep()
+            total += _count_fields(value, depth + 1)
         else:
             total += 1
     return total

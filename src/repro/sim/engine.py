@@ -13,6 +13,8 @@ third-party runtime dependencies:
 * :class:`Event` is a one-shot occurrence that processes can wait on.
 * :class:`Process` wraps a Python generator; each ``yield`` suspends the
   process until the yielded event fires.
+* :meth:`Simulator.start` drives a generator nothing waits on from the
+  callbacks of the events it yields, with no :class:`Process` around it.
 * :class:`Timeout` is an event that fires after a fixed delay; pending
   timeouts can be :meth:`~Timeout.cancel`-ed.  A one-shot delayed action
   is ``sim.timeout(delay).add_callback(fn)``: one timer event, where a
@@ -320,9 +322,11 @@ class Process(Event):
                 event._defused = True
                 target = self._throw(event._exception)
         except StopIteration as stop:
+            self._finish()
             self.succeed(stop.value, priority=URGENT)
             return
         except BaseException as exc:
+            self._finish()
             self.fail(exc, priority=URGENT)
             return
 
@@ -346,6 +350,13 @@ class Process(Event):
             self._resume(target)
         else:
             callbacks.append(self._resume_cb)
+
+    def _finish(self) -> None:
+        # Drop the bound methods: _resume_cb is a Process -> method ->
+        # Process cycle, so a finished process would otherwise wait for
+        # the cyclic GC.  A queued stale interrupt holds its own
+        # reference and finds _ok set.
+        self._resume_cb = self._send = self._throw = None
 
 
 class _Condition(Event):
@@ -401,6 +412,9 @@ class _Condition(Event):
                     callbacks.remove(check)
                 except ValueError:
                     pass
+        # The cached bound method is a condition -> method -> condition
+        # cycle; a fired condition never registers it again.
+        self._check_cb = None
 
     def _check(self, event: Event) -> None:
         if self._ok is not None:
@@ -435,6 +449,13 @@ class AllOf(_Condition):
 
     def _satisfied(self) -> bool:
         return self._fired == len(self.events)
+
+
+#: the processed event a started generator's first step resumes from:
+#: it sends None, as a process's start does
+_FIRST_STEP = Event.__new__(Event)
+_FIRST_STEP._ok = True
+_FIRST_STEP._value = None
 
 
 class Simulator:
@@ -563,8 +584,60 @@ class Simulator:
         return event
 
     def process(self, generator: Generator, name: str = "") -> Process:
-        """Start a new simulation process from ``generator``."""
+        """Start a new simulation process from ``generator``.
+
+        For work that is joined, interrupted or long-lived; a one-off
+        reaction that nothing waits on is cheaper as :meth:`start`.
+        """
         return Process(self, generator, name=name)
+
+    def start(self, generator: Generator) -> None:
+        """Run ``generator`` to completion, with no :class:`Process`.
+
+        The first step runs at once, inside this call; each later step
+        runs from the callbacks of the event the generator yielded, at
+        once if that event was already processed.  A failed event is
+        thrown in and defused, as for a process.  Nothing can wait on,
+        interrupt or name the work, and no start or completion event is
+        dispatched: the events it yields are all it costs.  An exception
+        escaping the generator propagates to whoever resumed it, the
+        caller of ``start`` or :meth:`run`.
+        """
+        send = generator.send
+        throw = generator.throw
+
+        def resume(event: Event) -> None:
+            nonlocal resume
+            while True:
+                try:
+                    if event._ok:
+                        target = send(event._value)
+                    else:
+                        event._defused = True
+                        target = throw(event._exception)
+                except StopIteration:
+                    # resume holds itself through its closure cell;
+                    # letting go frees the finished work by refcount.
+                    resume = None
+                    return
+                try:
+                    foreign = target.sim is not self
+                    callbacks = target.callbacks
+                except AttributeError:
+                    raise SimulationError(
+                        f"{generator!r} yielded {target!r}, expected an Event"
+                    ) from None
+                if foreign:
+                    raise SimulationError(
+                        "cannot wait on an event from another simulator")
+                if callbacks is not None:
+                    callbacks.append(resume)
+                    return
+                if target._ok is None:
+                    raise SimulationError("cannot wait on a cancelled timeout")
+                event = target
+
+        resume(_FIRST_STEP)
 
     def periodic(self, interval_ns: float, fn: Callable[[], Any],
                  until_ns: float, name: str = "periodic") -> Process:

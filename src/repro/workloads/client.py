@@ -121,6 +121,8 @@ class ClientNode:
         self._pending[request_id] = (self.sim.now, list(args), done)
         self.port.send(frame)
         if self.retry_timeout_ns is not None:
+            # A process: long-lived, it retransmits until the response
+            # lands or its retries run out.
             self.sim.process(
                 self._retry_watchdog(request_id, frame),
                 name=f"{self.name}-retry-{request_id}",

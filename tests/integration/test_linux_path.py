@@ -178,3 +178,29 @@ def test_malformed_str_argument_gets_an_error_reply(monkeypatch):
     bed.sim.process(driver())
     bed.machine.run(until=50 * MS)
     assert results == [["__rpc_error__", "MarshalError"], [7, "next"]]
+
+
+def test_deeply_nested_argument_gets_an_error_reply(monkeypatch):
+    """A request whose argument nests lists 1,200 deep, far past
+    ``MAX_NESTING``, is answered with an error marker rather than
+    crashing the run, and the worker goes on to serve the next one."""
+    bed = build_linux_testbed()
+    service, method, _sock = setup_echo(bed)
+    client = bed.clients[0]
+    # one argument: a None inside 1,200 one-element lists (3,602 B)
+    deep = b"\x01" + b"\x05\x00\x01" * 1200 + b"\x06"
+    encode = client_module.marshal_args
+    monkeypatch.setattr(
+        client_module, "marshal_args",
+        lambda args: deep if args == ["deep"] else encode(args))
+    results = []
+
+    def driver():
+        for args in (["deep"], [7, "next"]):
+            result = yield from client.call(
+                args=args, **bed.call_args(service, method))
+            results.append(result.results)
+
+    bed.sim.process(driver())
+    bed.machine.run(until=50 * MS)
+    assert results == [["__rpc_error__", "MarshalError"], [7, "next"]]

@@ -15,6 +15,7 @@ from repro.rpc import (
     software_unmarshal_instructions,
     unmarshal_args,
 )
+from repro.rpc.marshal import MAX_NESTING
 
 
 def test_roundtrip_scalars():
@@ -404,3 +405,46 @@ def test_str_not_encodable_raises_marshal_error():
 ], ids=["set", "nested-dict", "bytearray", "256-args", "long-list"])
 def test_rejections_equal_the_reference(args):
     assert _outcome(marshal_args, args) == _outcome(_ref_marshal_args, args)
+
+
+def _wrap(value, depth: int):
+    """``value`` inside ``depth`` one-element lists."""
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def _nested_payload(depth: int) -> bytes:
+    """One argument: a None inside ``depth`` one-element lists."""
+    return b"\x01" + b"\x05\x00\x01" * depth + b"\x06"
+
+
+def test_lists_nested_to_the_cap_round_trip():
+    args = [_wrap(1, MAX_NESTING)]
+    payload = marshal_args(args)
+    assert payload == _ref_marshal_args(args)
+    assert unmarshal_args(payload) == args
+    assert count_fields(args) == 1
+    assert unmarshal_args(_nested_payload(MAX_NESTING)) == [
+        _wrap(None, MAX_NESTING)]
+
+
+def test_lists_nested_past_the_cap_raise_marshal_error():
+    args = [_wrap(1, MAX_NESTING + 1)]
+    too_deep = f"nested more than {MAX_NESTING} deep"
+    with pytest.raises(MarshalError, match=too_deep):
+        marshal_args(args)
+    with pytest.raises(MarshalError, match=too_deep):
+        count_fields(args)
+    with pytest.raises(MarshalError, match=too_deep):
+        unmarshal_args(_nested_payload(MAX_NESTING + 1))
+
+
+@pytest.mark.parametrize("depth", [1200, 100_000])
+def test_deep_nesting_is_a_marshal_error_not_a_recursion_error(depth):
+    with pytest.raises(MarshalError):
+        unmarshal_args(_nested_payload(depth))
+    with pytest.raises(MarshalError):
+        marshal_args([_wrap(None, depth)])
+    with pytest.raises(MarshalError):
+        count_fields([_wrap(None, depth)])
