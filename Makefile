@@ -23,7 +23,8 @@
 #   run-all-faults     the artifact under the default fault plan (cached
 #                      under its own keys — the plan is in the cache key)
 #   run-e20            the observability experiment alone: per-stage
-#                      attribution + overhead + results/e20_trace.json
+#                      attribution + armed/unarmed RTT identity +
+#                      results/e20_trace.json
 #   run-e21            timelines/flight/tail forensics alone ->
 #                      results/e21_timeline.json
 #   run-e22            control-plane policy tournaments + epoch

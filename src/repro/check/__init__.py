@@ -9,6 +9,11 @@ Public surface::
     bed.sim.run(until=HORIZON)
     reg.assert_clean()
 
+``bed`` is a testbed or a fleet: either way every host gets the
+per-host battery and every switch link gets packet conservation.
+:func:`install_fleet_checks` adds the three fleet-wide checks
+(fleet-summed conservation, flow order, replica ledger) on top.
+
 Checks are recorded, not raised mid-run; :meth:`assert_clean` raises
 :class:`InvariantViolation` with every recorded problem.  Nothing is
 installed (and nothing costs anything) unless a harness opts in.

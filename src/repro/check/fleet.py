@@ -2,13 +2,14 @@
 :mod:`repro.check.invariants`).
 
 :func:`install_fleet_checks` arms one :class:`CheckRegistry` over a
-whole :class:`repro.fleet.Fleet`:
+whole :class:`repro.fleet.Fleet`: everything
+:func:`repro.check.install_checks` installs on any bed (the per-host
+battery on every host, per-link packet conservation on every link of
+every switch), plus three checks only a fleet has:
 
-* every per-host invariant the single-machine harness has (MESI,
-  rings, scheduler, Lauberhorn accounting), installed per host;
-* **packet conservation**, per port *and* fleet-summed: frames
-  injected across every link of every switch (ToRs, spine, trunks)
-  equal delivered + dropped + lost once the run drains;
+* **fleet conservation** — frames injected across every link of every
+  switch (ToRs, spine, trunks) equal delivered + dropped + lost, summed
+  over the fleet, once the run drains;
 * **flow order** — under reorder-free fault plans, requests of one
   flow (client IP, UDP source port) must reach their replica in
   strictly increasing request-id order; ECMP flow affinity makes this
@@ -30,31 +31,14 @@ from typing import Iterable
 
 from ..net.headers import HeaderError
 from ..net.packet import parse_udp_frame
-from .invariants import (
-    _install_clock_checks,
-    _install_conservation_checks,
-    _install_lauberhorn_checks,
-    _install_mesi_checks,
-    _install_ring_checks,
-    _install_scheduler_checks,
-)
+from .invariants import bed_links, install_checks
 from .registry import CheckRegistry
 
-__all__ = ["install_fleet_checks", "fleet_links"]
+__all__ = ["install_fleet_checks"]
 
 #: cap per-run flow-order problem accumulation (mirrors the registry's
 #: own violation cap)
 _MAX_FLOW_PROBLEMS = 50
-
-
-def fleet_links(fleet) -> list:
-    """Every link of every switch in the fleet, ToRs first."""
-    links = []
-    for switch in fleet.switches:
-        for port in switch.ports.values():
-            links.append(port.ingress)
-            links.append(port.egress)
-    return links
 
 
 def _install_fleet_conservation(reg: CheckRegistry, links) -> None:
@@ -177,35 +161,14 @@ def _install_replica_ledger_checks(reg: CheckRegistry, fleet) -> None:
     reg.add_quiesce("replica-ledger", quiesce)
 
 
-def install_fleet_checks(
-    fleet,
-    *,
-    interval_ns: float = 250_000.0,
-    flow_order: bool = True,
-) -> CheckRegistry:
-    """Register every applicable invariant over a fleet; returns the
-    registry.  Same protocol as :func:`repro.check.install_checks`:
+def install_fleet_checks(fleet, *,
+                         interval_ns: float = 250_000.0) -> CheckRegistry:
+    """:func:`repro.check.install_checks` over a fleet plus the three
+    fleet-wide checks; returns the registry.  Same protocol:
     ``reg.start(horizon)``, run, ``reg.assert_clean()``."""
-    reg = CheckRegistry(fleet.sim, interval_ns=interval_ns)
-    _install_clock_checks(reg)
-    for host in fleet.hosts:
-        if host.machine.fabric is not None:
-            _install_mesi_checks(reg, host.machine.fabric)
-        if hasattr(host.nic, "queues") or hasattr(host.nic, "endpoints"):
-            _install_ring_checks(reg, host.nic)
-        if host.kernel is not None:
-            _install_scheduler_checks(reg, host.kernel)
-        if hasattr(host.nic, "lstats"):
-            _install_lauberhorn_checks(reg, host.nic)
-        if getattr(host.nic, "tenants", None) is not None:
-            from .tenancy import install_tenancy_checks
-
-            install_tenancy_checks(reg, host.nic)
-    links = fleet_links(fleet)
-    _install_conservation_checks(reg, links)
-    _install_fleet_conservation(reg, links)
-    reorder_free = (fleet.plan is None or not fleet.plan.link.active)
-    if flow_order and reorder_free:
+    reg = install_checks(fleet, interval_ns=interval_ns)
+    _install_fleet_conservation(reg, bed_links(fleet))
+    if fleet.plan is None or not fleet.plan.link.active:
         _install_flow_order_checks(reg, fleet)
     if fleet.balancer is not None:
         _install_replica_ledger_checks(reg, fleet)

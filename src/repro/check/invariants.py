@@ -1,8 +1,9 @@
 """The repo's runtime invariants, wired onto live components.
 
-:func:`install_checks` takes an assembled testbed (or the pieces of
-one) and registers every applicable invariant on a fresh
-:class:`~repro.check.registry.CheckRegistry`:
+:func:`install_checks` takes an assembled testbed or fleet and
+registers every applicable invariant on a fresh
+:class:`~repro.check.registry.CheckRegistry` — the per-host ones on
+each host, conservation on every link of every switch:
 
 * **clock** — simulation time never runs backwards, and the next
   scheduled event is never in the past;
@@ -31,12 +32,13 @@ benchmarks without checks execute exactly the code they always did.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from ..hw.coherence import CoherenceFabric, LineState
 from .registry import CheckRegistry
+from .tenancy import install_tenancy_checks
 
-__all__ = ["install_checks"]
+__all__ = ["install_checks", "bed_links"]
 
 #: a core must never go straight from these states to EXCLUSIVE (S->E,
 #: M->E); every other per-core transition is legal or passes through
@@ -375,47 +377,38 @@ def _install_lauberhorn_checks(reg: CheckRegistry, nic) -> None:
 # -- entry point ---------------------------------------------------------
 
 
-def install_checks(
-    bed=None,
-    *,
-    machine=None,
-    kernel=None,
-    nic=None,
-    links: Optional[list] = None,
-    interval_ns: float = 250_000.0,
-) -> CheckRegistry:
+def bed_links(bed) -> list:
+    """Every link of every switch in a testbed or fleet, ToRs first."""
+    links = []
+    for switch in bed.switches:
+        for port in switch.ports.values():
+            links.append(port.ingress)
+            links.append(port.egress)
+    return links
+
+
+def install_checks(bed, *, interval_ns: float = 250_000.0) -> CheckRegistry:
     """Register every applicable invariant; returns the registry.
 
-    Pass a :class:`~repro.experiments.testbed.Testbed` (preferred) or
-    the individual components.  Call ``reg.start(horizon_ns)`` before
-    running to sample periodically, and ``reg.assert_clean()`` after.
+    ``bed`` is a :class:`~repro.experiments.testbed.Testbed` or a
+    :class:`repro.fleet.Fleet`: each host gets the per-host battery and
+    every switch link gets packet conservation.  Call
+    ``reg.start(horizon_ns)`` before running to sample periodically,
+    and ``reg.assert_clean()`` after.
     """
-    if bed is not None:
-        machine = machine or bed.machine
-        kernel = kernel if kernel is not None else bed.kernel
-        nic = nic if nic is not None else bed.nic
-        if links is None:
-            links = []
-            for port in bed.switch.ports.values():
-                links.append(port.ingress)
-                links.append(port.egress)
-    if machine is None:
-        raise ValueError("install_checks needs a testbed or a machine")
-
-    reg = CheckRegistry(machine.sim, interval_ns=interval_ns)
+    reg = CheckRegistry(bed.sim, interval_ns=interval_ns)
     _install_clock_checks(reg)
-    if machine.fabric is not None:
-        _install_mesi_checks(reg, machine.fabric)
-    if links:
-        _install_conservation_checks(reg, links)
-    if nic is not None and (hasattr(nic, "queues") or hasattr(nic, "endpoints")):
-        _install_ring_checks(reg, nic)
-    if kernel is not None:
-        _install_scheduler_checks(reg, kernel)
-    if nic is not None and hasattr(nic, "lstats"):
-        _install_lauberhorn_checks(reg, nic)
-    if nic is not None and getattr(nic, "tenants", None) is not None:
-        from .tenancy import install_tenancy_checks
-
-        install_tenancy_checks(reg, nic)
+    for host in bed.hosts:
+        nic = host.nic
+        if host.machine.fabric is not None:
+            _install_mesi_checks(reg, host.machine.fabric)
+        if hasattr(nic, "queues") or hasattr(nic, "endpoints"):
+            _install_ring_checks(reg, nic)
+        if host.kernel is not None:
+            _install_scheduler_checks(reg, host.kernel)
+        if hasattr(nic, "lstats"):
+            _install_lauberhorn_checks(reg, nic)
+        if getattr(nic, "tenants", None) is not None:
+            install_tenancy_checks(reg, nic)
+    _install_conservation_checks(reg, bed_links(bed))
     return reg

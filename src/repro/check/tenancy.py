@@ -1,9 +1,10 @@
 """Tenant-isolation invariants (multi-tenant counterpart of the
 Lauberhorn accounting checks).
 
-Installed automatically by :func:`repro.check.install_checks` and
-:func:`repro.check.fleet.install_fleet_checks` whenever the NIC has a
-:class:`repro.tenancy.TenantTable` attached; never armed otherwise.
+Installed automatically by :func:`repro.check.install_checks` (and so
+by :func:`repro.check.install_fleet_checks`) on every host whose NIC
+has a :class:`repro.tenancy.TenantTable` attached; never armed
+otherwise.
 
 * **tenant-conservation** — per tenant, every demuxed frame is
   accounted for: ``arrivals == admitted + rate_dropped`` always, and

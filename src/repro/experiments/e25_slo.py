@@ -276,6 +276,31 @@ def _per_request_diff(profile, group_a: str, group_b: str) -> dict:
             for stack in sorted(set(a) | set(b))}
 
 
+def _arm(bed, install, tightness: str, storm: bool,
+         horizon_ns: float) -> dict:
+    """Arm a cell's testbed or fleet: spans (origin-tagged), flight,
+    metrics, the SLO tracker and the ``install`` checks, sampling until
+    ``horizon_ns``.  Returns the cell's obs dict (no actuators)."""
+    recorder = arm_testbed(bed)
+    recorder.tag_origin = True
+    flight = FlightRecorder(bed.sim, capacity=FLIGHT_CAPACITY)
+    arm_flight(bed, flight, recorder=recorder)
+    registry = bind_testbed_metrics(bed)
+    sampler = TimeSeriesSampler(bed.sim, registry, window_ns=WINDOW_NS,
+                                max_windows=MAX_WINDOWS)
+    specs = [_victim_spec(tightness)]
+    if storm:
+        specs.append(_aggressor_spec())
+    tracker = SLOTracker(bed.sim, specs, flight=flight)
+    tracker.arm(recorder=recorder, sampler=sampler, registry=registry)
+    checks = install(bed)
+    checks.flight = flight
+    sampler.start(horizon_ns)
+    checks.start(horizon_ns)
+    return dict(recorder=recorder, flight=flight, sampler=sampler,
+                tracker=tracker, checks=checks, actuators=None)
+
+
 def measure_single_cell(label: str, seed: int = 0) -> SloCell:
     """One single-host cell, run unarmed then armed (identity proof),
     with SLO tracking, flame folding, and tail attribution on top."""
@@ -312,32 +337,13 @@ def measure_single_cell(label: str, seed: int = 0) -> SloCell:
         obs = {}
         gate = None
         if armed:
-            recorder = arm_testbed(bed)
-            recorder.tag_origin = True
-            flight = FlightRecorder(bed.sim, capacity=FLIGHT_CAPACITY)
-            arm_flight(bed, flight, recorder=recorder)
-            registry = bind_testbed_metrics(bed)
-            sampler = TimeSeriesSampler(bed.sim, registry,
-                                        window_ns=WINDOW_NS,
-                                        max_windows=MAX_WINDOWS)
-            specs = [_victim_spec(tightness)]
-            if storm:
-                specs.append(_aggressor_spec())
-            tracker = SLOTracker(bed.sim, specs, flight=flight)
-            tracker.arm(recorder=recorder, sampler=sampler,
-                        registry=registry)
-            checks = install_checks(bed)
-            checks.flight = flight
-            actuators = None
+            obs = _arm(bed, install_checks, tightness, storm, HORIZON_NS)
             if guarded:
                 gate = AdmissionGate()
-                actuators = Actuators(bed.sim, nic=bed.nic, gate=gate)
-                Controller(sampler, actuators,
+                obs["actuators"] = Actuators(bed.sim, nic=bed.nic,
+                                             gate=gate)
+                Controller(obs["sampler"], obs["actuators"],
                            PolicySpec.from_spec(GUARD_SPEC))
-            sampler.start(HORIZON_NS)
-            checks.start(HORIZON_NS)
-            obs = dict(recorder=recorder, flight=flight, sampler=sampler,
-                       tracker=tracker, checks=checks, actuators=actuators)
 
         aggressor_done: list = []
         if storm:
@@ -402,26 +408,8 @@ def measure_fleet_cell(label: str, seed: int = 0) -> SloCell:
 
         obs = {}
         if armed:
-            recorder = arm_testbed(fleet)
-            recorder.tag_origin = True
-            flight = FlightRecorder(fleet.sim, capacity=FLIGHT_CAPACITY)
-            arm_flight(fleet, flight, recorder=recorder)
-            registry = bind_testbed_metrics(fleet)
-            sampler = TimeSeriesSampler(fleet.sim, registry,
-                                        window_ns=WINDOW_NS,
-                                        max_windows=MAX_WINDOWS)
-            specs = [_victim_spec(tightness)]
-            if storm:
-                specs.append(_aggressor_spec())
-            tracker = SLOTracker(fleet.sim, specs, flight=flight)
-            tracker.arm(recorder=recorder, sampler=sampler,
-                        registry=registry)
-            checks = install_fleet_checks(fleet)
-            checks.flight = flight
-            sampler.start(FLEET_HORIZON_NS)
-            checks.start(FLEET_HORIZON_NS)
-            obs = dict(recorder=recorder, flight=flight, sampler=sampler,
-                       tracker=tracker, checks=checks, actuators=None)
+            obs = _arm(fleet, install_fleet_checks, tightness, storm,
+                       FLEET_HORIZON_NS)
 
         rtts: list = []
         completed: list = []

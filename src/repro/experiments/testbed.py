@@ -66,6 +66,26 @@ class Testbed:
     def sim(self):
         return self.machine.sim
 
+    # A testbed is the one-host fleet: the bed-level attributes of
+    # repro.fleet.Fleet, so installers need one body for either bed.
+
+    @property
+    def hosts(self) -> list:
+        return [self]
+
+    @property
+    def switches(self) -> list:
+        return [self.switch]
+
+    @property
+    def plan(self):
+        """The active fault plan the machine was built under, or None."""
+        return self.machine.faults
+
+    @property
+    def fault_stats(self):
+        return self.machine.fault_stats
+
     def call_args(self, service, method) -> dict:
         """Keyword arguments for :meth:`ClientNode.call` to a service."""
         return dict(
@@ -83,7 +103,7 @@ def _finish_faults(bed: Testbed) -> None:
     A no-op (not even an import of the injectors) unless the machine
     was built under an active fault plan.
     """
-    if getattr(bed.machine, "faults", None) is not None:
+    if bed.plan is not None:
         from ..faults.inject import install_testbed_faults
 
         install_testbed_faults(bed)

@@ -10,9 +10,10 @@ Two entry points:
 
 * :func:`install_machine_faults` — called by ``Machine.__init__``:
   core hiccups/frequency dips, coherence jitter, DMA delay spikes.
-* :func:`install_testbed_faults` — called by the testbed builders once
-  all ports exist: link faults on every switch port, the NIC RX stall
-  hook, and client retransmission when frames can be lost.
+* :func:`install_testbed_faults` — called by the testbed and fleet
+  builders once all ports exist: link faults on every switch port,
+  each NIC's RX stall hook, and client retransmission when frames can
+  be lost.
 
 Every injector draws from its own named stream
 (``plan.rng("link", port_name)`` etc.), so schedules are deterministic
@@ -31,7 +32,6 @@ __all__ = [
     "LinkFaultInjector",
     "install_machine_faults",
     "install_testbed_faults",
-    "install_fleet_faults",
     "install_link_faults",
     "install_nic_faults",
 ]
@@ -277,49 +277,30 @@ def install_machine_faults(machine, plan: FaultPlan) -> InjectionStats:
 
 
 def install_testbed_faults(bed) -> None:
-    """Finish fault installation once a testbed is fully assembled.
+    """Finish fault installation once a testbed or fleet is assembled.
 
-    Covers the parts a bare machine cannot see: every switch port's
-    ingress/egress links, the NIC RX pipeline, and — when frames can
-    be lost — client retransmission so closed-loop drivers still
-    complete.
+    Covers the parts a bare machine cannot see: link injectors on
+    every port of every switch (ToRs, spine, trunks), each host's NIC
+    RX pipeline, and — when frames can be lost — client retransmission
+    so closed-loop drivers still complete.  A port owned by a host's
+    NIC charges that host's machine-level stats; client and trunk
+    ports charge ``bed.fault_stats`` (a testbed's is its machine's).
+    Fault RNG streams are keyed by port name alone, so a 1-host fleet
+    draws the same schedules as the legacy testbed.
     """
-    plan = getattr(bed.machine, "faults", None)
-    if plan is None or not plan.active:
-        return
-    stats = bed.machine.fault_stats
-    for port in bed.switch.ports.values():
-        install_link_faults(port.ingress, plan, stats, f"{port.name}.in")
-        install_link_faults(port.egress, plan, stats, f"{port.name}.out")
-    install_nic_faults(bed.nic, plan, stats)
-    if plan.link.lossy:
-        for client in bed.clients:
-            client.retry_timeout_ns = RETRY_TIMEOUT_NS
-
-
-def install_fleet_faults(fleet) -> None:
-    """Testbed-style fault finishing for a whole fleet.
-
-    Every port of every switch (ToRs and spine) gets link injectors
-    exactly once; a port owned by a host's NIC charges that host's
-    machine-level stats, while client and trunk ports charge the
-    fleet-level sink.  Fault RNG streams are keyed by port name alone,
-    so a 1-host fleet draws the same schedules as the legacy testbed.
-    """
-    plan = fleet.plan
+    plan = bed.plan
     if plan is None or not plan.active:
         return
     stats_by_port = {
-        host.nic.port.name: host.machine.fault_stats
-        for host in fleet.hosts
+        host.nic.port.name: host.machine.fault_stats for host in bed.hosts
     }
-    for switch in fleet.switches:
+    for switch in bed.switches:
         for port in switch.ports.values():
-            stats = stats_by_port.get(port.name, fleet.fault_stats)
+            stats = stats_by_port.get(port.name, bed.fault_stats)
             install_link_faults(port.ingress, plan, stats, f"{port.name}.in")
             install_link_faults(port.egress, plan, stats, f"{port.name}.out")
-    for host in fleet.hosts:
+    for host in bed.hosts:
         install_nic_faults(host.nic, plan, host.machine.fault_stats)
     if plan.link.lossy:
-        for client in fleet.clients:
+        for client in bed.clients:
             client.retry_timeout_ns = RETRY_TIMEOUT_NS

@@ -285,13 +285,16 @@ def build_fleet(
             bed = _assemble_lauberhorn(machines[index], tor_fabric, clients,
                                        **common)
         topology.register_endpoint(mac, spec.tor)
+        # the span origin label matches the host's metrics namespace
+        # (host<i>.*), so root-span tags join against the right rows
+        bed.nic.obs_host = f"host{index}"
         built.append(_host_from_bed(bed, index, spec.stack, spec.tor))
 
     fleet = Fleet(topology=topology, hosts=built, clients=clients,
                   seed=seed, plan=machines[0].faults)
     if fleet.plan is not None:
-        from ..faults.inject import InjectionStats, install_fleet_faults
+        from ..faults.inject import InjectionStats, install_testbed_faults
 
         fleet.fault_stats = InjectionStats()
-        install_fleet_faults(fleet)
+        install_testbed_faults(fleet)
     return fleet

@@ -50,8 +50,8 @@ class BaseNic:
         #: means every hook is a single attribute test
         self.obs = None
         #: host label stamped onto root spans when the recorder's
-        #: ``tag_origin`` is on; arm_testbed overwrites it per fleet
-        #: host index (host-side bookkeeping only)
+        #: ``tag_origin`` is on; the fleet builder sets it per host
+        #: index (host-side bookkeeping only)
         self.obs_host = "host0"
         #: optional flight recorder (repro.obs.flight.FlightRecorder),
         #: same None-guarded contract as ``obs``

@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro.check import InvariantViolation, install_checks
+from repro.check import InvariantViolation, install_checks, install_fleet_checks
 from repro.experiments.four_stacks import STACKS, _build_stack
 from repro.experiments.testbed import build_lauberhorn_testbed, build_linux_testbed
+from repro.fleet import HostSpec, build_fleet
 from repro.hw.coherence import LineState
+from repro.net.topology import TopologySpec
+from repro.tenancy import TenantTable
 
 
 def _drive(bed, service, method, n=10, horizon=20_000_000.0):
@@ -179,3 +182,49 @@ def test_tryagain_ledger_mismatch_detected():
     reg.finish()
     assert any("tryagain ledger mismatch" in v.detail
                for v in reg.violations)
+
+
+def _registered(reg):
+    """(sampled, quiesce) check names, sorted: the registered set."""
+    return (sorted(name for name, _ in reg._checks),
+            sorted(name for name, _ in reg._quiesce))
+
+
+#: the sets each installer registers; a fleet-only check reaching a
+#: testbed (the flow-order tap parses every delivered frame) or a lost
+#: per-host one shows here
+_TESTBED_CHECKS = (
+    ["clock", "lauberhorn-accounting", "mesi:scan", "packet-conservation",
+     "ring", "scheduler", "tenant-budget", "tenant-conservation"],
+    ["lauberhorn-accounting", "packet-conservation", "ring", "scheduler",
+     "tenant-budget", "tenant-conservation", "tenant-fairness"],
+)
+_FLEET_CHECKS = (
+    ["clock", "flow-order", "lauberhorn-accounting", "mesi:scan",
+     "packet-conservation", "replica-ledger", "ring", "ring", "scheduler",
+     "scheduler", "tenant-budget", "tenant-conservation"],
+    ["fleet-conservation", "flow-order", "lauberhorn-accounting",
+     "packet-conservation", "replica-ledger", "ring", "ring", "scheduler",
+     "scheduler", "tenant-budget", "tenant-conservation", "tenant-fairness"],
+)
+
+
+def _attach_one_tenant(nic):
+    table = TenantTable()
+    table.create("a")
+    nic.attach_tenants(table)
+
+
+def test_tenanted_testbed_registers_the_single_host_set():
+    bed = build_lauberhorn_testbed()
+    _attach_one_tenant(bed.nic)
+    assert _registered(install_checks(bed)) == _TESTBED_CHECKS
+
+
+def test_two_tor_fleet_registers_the_fleet_set():
+    fleet = build_fleet([HostSpec(stack="lauberhorn", tor=0),
+                         HostSpec(stack="linux", tor=1)],
+                        topo=TopologySpec(n_tors=2), n_clients=2)
+    _attach_one_tenant(fleet.hosts[0].nic)
+    fleet.deploy(cost_instructions=500)
+    assert _registered(install_fleet_checks(fleet)) == _FLEET_CHECKS

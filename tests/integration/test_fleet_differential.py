@@ -5,7 +5,9 @@ topology replays the single-machine testbeds *byte-identically* —
 same construction order, same names (so the same name-derived fault
 streams), same seed draws.  This pins that promise for all four
 stacks, calm and under an active loss+stall fault plan, comparing
-full per-request RTT vectors and complete metrics snapshots.
+full per-request RTT vectors and complete metrics snapshots — and,
+armed, that the one-body installers (spans, flight, metrics, checks)
+see a 1-host fleet exactly as they see the testbed.
 
 (The E1-E18 golden corpus and the E19-E21 digest pins ride on the
 same refactored testbed assembly, so `tests/golden` extends this
@@ -14,11 +16,17 @@ differential back over every experiment's recorded outputs.)
 
 import pytest
 
+from repro.check import install_checks
 from repro.experiments.four_stacks import HANDLER_COST, STACKS, _build_stack
 from repro.faults.context import active
 from repro.faults.plan import FaultPlan
 from repro.fleet import HostSpec, build_fleet
-from repro.obs import bind_testbed_metrics
+from repro.obs import (
+    FlightRecorder,
+    arm_flight,
+    arm_testbed,
+    bind_testbed_metrics,
+)
 from repro.sim.clock import MS
 
 FAULT_SPEC = "seed=3,loss=0.02,stall=0.02"
@@ -78,6 +86,54 @@ def test_one_host_fleet_is_byte_identical_faulted(stack):
     assert len(legacy_rtts) == 40
     assert fleet_rtts == legacy_rtts
     assert fleet_metrics == legacy_metrics
+
+
+def _armed(bed, drive_bed, run, service, method, n_requests):
+    """Arm ``bed`` (a testbed or a fleet) with every installer, drive
+    ``drive_bed`` and return what each installer observed."""
+    recorder = arm_testbed(bed)
+    flight = FlightRecorder(bed.sim)
+    arm_flight(bed, flight, recorder=recorder)
+    registry = bind_testbed_metrics(bed)
+    checks = install_checks(bed)
+    checks.start(500 * MS)
+    rtts = _drive(drive_bed, run, service, method, n_requests)
+    return dict(
+        rtts=rtts,
+        spans=[span.as_dict() for span in recorder.spans],
+        flight=flight.snapshot(),
+        metrics={key.removeprefix("host0."): value
+                 for key, value in registry.snapshot().items()},
+        checks=([name for name, _ in checks._checks],
+                [name for name, _ in checks._quiesce]),
+        violations=[str(v) for v in checks.finish()],
+    )
+
+
+def _legacy_armed(stack, n_requests):
+    bed, service, method = _build_stack(stack)
+    return _armed(bed, bed, bed.machine.run, service, method, n_requests)
+
+
+def _fleet_armed(stack, n_requests):
+    fleet = build_fleet([HostSpec(stack=stack)])
+    [deployment] = fleet.deploy(cost_instructions=HANDLER_COST)
+    return _armed(fleet, fleet.hosts[0], fleet.run,
+                  deployment.service, deployment.method, n_requests)
+
+
+@pytest.mark.parametrize("faulted", [False, True], ids=["calm", "faulted"])
+@pytest.mark.parametrize("stack", STACKS)
+def test_one_host_fleet_arms_like_the_testbed(stack, faulted):
+    plan = FaultPlan.from_spec(FAULT_SPEC) if faulted else None
+    with active(plan):
+        legacy = _legacy_armed(stack, 30)
+    with active(plan):
+        fleet = _fleet_armed(stack, 30)
+    assert len(legacy["rtts"]) == 30
+    assert legacy["spans"] and legacy["flight"]
+    assert legacy["violations"] == [] and fleet["violations"] == []
+    assert fleet == legacy
 
 
 def test_differential_would_catch_a_perturbation():

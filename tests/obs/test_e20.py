@@ -68,6 +68,16 @@ def test_render_and_artifact(results, tmp_path, capsys):
     assert process_names == set(STACKS)
 
 
+def test_results_are_deterministic_in_process():
+    # No wall-clock field: two runs of the same stack serialise alike,
+    # so the E20 digest needs no field stripped before hashing.
+    from repro.exp.pool import jsonable
+
+    first = jsonable(measure_obs_stack("linux", n_requests=6))
+    second = jsonable(measure_obs_stack("linux", n_requests=6))
+    assert first == second
+
+
 def test_e20_registered_with_runner():
     from repro.exp.jobs import EXPERIMENT_SPECS
 

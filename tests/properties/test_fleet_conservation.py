@@ -11,7 +11,7 @@ makes the *workload* whole; the conservation invariant proves the
 import pytest
 
 from repro.check import install_fleet_checks
-from repro.check.fleet import fleet_links
+from repro.check.invariants import bed_links
 from repro.faults.context import active
 from repro.faults.plan import FaultPlan
 from repro.fleet import HostSpec, build_fleet
@@ -70,7 +70,7 @@ def test_conservation_under_fault_plans(plan):
 def test_fleet_summed_ledger_balances_after_drain():
     fleet, checks, _ = _run_faulted_fleet(PLANS["dup-storm"])
     checks.assert_clean()
-    links = fleet_links(fleet)
+    links = bed_links(fleet)
     assert len(links) > 10  # 2 ToRs + spine + trunks, both directions
     injected = sum(l.stats.frames + l.stats.fault_duplicated for l in links)
     settled = sum(l.stats.delivered + l.stats.dropped + l.stats.fault_lost
@@ -100,7 +100,7 @@ def test_calm_fleet_conserves_exactly():
     fleet.run(until=100 * MS)
     checks.finish()
     checks.assert_clean()
-    links = fleet_links(fleet)
+    links = bed_links(fleet)
     assert sum(l.stats.frames for l in links) == \
         sum(l.stats.delivered for l in links)
     assert sum(l.stats.dropped for l in links) == 0

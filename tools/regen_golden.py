@@ -4,8 +4,8 @@
 Runs every deterministic experiment at the default root seed and pins
 its structured results: E1-E18 as full JSON files
 (``tests/golden/<name>.json``), E19-E23 and the E24/E25 smoke artifacts
-as SHA-256 digests (``tests/golden/hashes.json``, volatile wall-clock
-fields stripped — see :mod:`repro.exp.golden`).  The same file pins the
+as SHA-256 digests (``tests/golden/hashes.json``, see
+:mod:`repro.exp.golden`).  The same file pins the
 output digest of each end-to-end benchmark workload
 (``perfbench/scenarios.py``) at seed 1 as ``perfbench.<workload>`` and
 at seed 3 as ``perfbench.<workload>.seed3``.
