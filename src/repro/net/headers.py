@@ -25,6 +25,7 @@ __all__ = [
     "unpack_udp_frame",
     "frame_dst_mac",
     "frame_flow",
+    "rss_hash",
 ]
 
 ETHERTYPE_IPV4 = 0x0800
@@ -306,3 +307,21 @@ def frame_flow(raw: bytes) -> Optional[tuple[int, int, int, int]]:
     if ethertype != ETHERTYPE_IPV4 or version_ihl != _VERSION_IHL:
         return None
     return src, dst, src_port, dst_port
+
+
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+#: the hashed flow key: addresses then ports, big-endian, 12 bytes
+_FLOW_KEY = struct.Struct("!IIHH")
+
+
+def rss_hash(src_ip: int, dst_ip: int, src_port: int, dst_port: int) -> int:
+    """64-bit FNV-1a over the flow 4-tuple (see :func:`frame_flow`).
+
+    Both the NICs' receive-side scaling and the switches' ECMP member
+    choice hash flows with it.
+    """
+    value = _FNV_OFFSET
+    for byte in _FLOW_KEY.pack(src_ip, dst_ip, src_port, dst_port):
+        value = ((value ^ byte) * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    return value

@@ -15,20 +15,28 @@ A route may name several parallel ports, in which case the fabric
 picks one by hashing the flow 4-tuple (ECMP) — deterministic,
 seed-salted, and flow-affine, so one flow never spans two paths and
 intra-flow FIFO order is preserved end to end.
+
+Frames cross the fabric on timer callbacks alone, so nothing here is a
+simulator process.  A link's on-wire timer counts the frame and arms
+one landing timer per copy; a landing hands the frame to the link's
+one receiver, either the ``rx_queue`` a NIC's receive loop reads or a
+callback.  A switch port's ingress feeds a FIFO :class:`Stage` that
+holds each frame for the switching time, one frame at a time.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..sim.clock import bytes_time_ns
-from ..sim.engine import Simulator, Timeout
+from ..sim.clock import SEC, bytes_time_ns
+from ..sim.engine import Event, Simulator, Timeout
 from ..sim.resources import Store
-from .headers import MacAddress, frame_dst_mac, frame_flow
+from .headers import MacAddress, frame_dst_mac, frame_flow, rss_hash
 from .packet import Frame
 
-__all__ = ["LinkStats", "Link", "SwitchFabric", "Port"]
+__all__ = ["LinkStats", "Link", "SwitchFabric", "Port", "Stage"]
 
 
 @dataclass
@@ -51,7 +59,12 @@ class LinkStats:
 
 
 class Link:
-    """Unidirectional link: serialisation + propagation, FIFO order."""
+    """Unidirectional link: serialisation + propagation, FIFO order.
+
+    Every landed frame goes to one receiver: ``rx_queue``, a
+    :class:`Store` a reader process waits on, or the callback that
+    :meth:`deliver_to` installs in its place.
+    """
 
     def __init__(
         self,
@@ -68,7 +81,10 @@ class Link:
         self.propagation_ns = propagation_ns
         self.name = name
         self.stats = LinkStats()
-        self.rx_queue: Store = Store(sim, capacity=queue_frames, name=f"{name}.rx")
+        self.rx_queue: Optional[Store] = Store(
+            sim, capacity=queue_frames, name=f"{name}.rx")
+        #: the callback landed frames go to instead (see deliver_to)
+        self.receiver: Optional[Callable[[Frame], None]] = None
         #: optional fault injector (repro.faults.LinkFaultInjector)
         self.fault = None
         #: optional drop observer: ``on_drop(link, frame, reason)``
@@ -79,35 +95,62 @@ class Link:
         self.on_deliver: Optional[Callable[["Link", Frame], None]] = None
         #: next time the transmitter is free (models serialisation).
         self._tx_free_at = 0.0
+        # Bound once: every frame's timers carry these two.
+        self._on_wire_cb = self._on_wire
+        self._land_cb = self._land
 
     def serialization_ns(self, frame: Frame) -> float:
         return bytes_time_ns(frame.wire_bytes, self.bandwidth_bps)
+
+    def deliver_to(self, receiver: Callable[[Frame], None]) -> None:
+        """Hand each landed frame to ``receiver(frame)`` at its landing
+        instant.  A link has one receiver, so ``rx_queue`` goes."""
+        self.receiver = receiver
+        self.rx_queue = None
 
     def send(self, frame: Frame) -> Timeout:
         """Transmit ``frame``; returns the timer that fires once it is on
         the wire (yield it to wait for that, or ignore it).
 
         The transmitter is reserved now, so frames leave in call order.
-        Delivery into the receiver's queue happens ``propagation_ns``
-        after the last bit leaves.  Frames that arrive to a full queue
-        are dropped (tail drop), which the stats record.
+        Delivery to the receiver happens ``propagation_ns`` after the
+        last bit leaves.  Frames that arrive to a full ``rx_queue`` are
+        dropped (tail drop), which the stats record.
         """
         sim = self.sim
         now = sim.now
-        done = max(now, self._tx_free_at) + self.serialization_ns(frame)
+        # bytes_time_ns, inlined: the same float expression.
+        done = (max(now, self._tx_free_at)
+                + frame.wire_bytes / self.bandwidth_bps * SEC)
         self._tx_free_at = done
-        on_wire = sim.timeout(done - now)
-        on_wire.add_callback(lambda _event: self._on_wire(frame))
+        on_wire = sim.timeout(done - now, frame)
+        on_wire.callbacks.append(self._on_wire_cb)
         return on_wire
 
-    def _on_wire(self, frame: Frame) -> None:
-        self.stats.frames += 1
-        self.stats.bytes += frame.wire_bytes
+    def _on_wire(self, event: Event) -> None:
+        frame = event._value
+        stats = self.stats
+        stats.frames += 1
+        stats.bytes += frame.wire_bytes
         if self.fault is None:
-            self._deliver_after(frame, self.propagation_ns)
+            self.sim.timeout(self.propagation_ns, frame).callbacks.append(
+                self._land_cb)
         else:
             for fated, extra_ns in self.fault.fate(self, frame):
-                self._deliver_after(fated, self.propagation_ns + extra_ns)
+                self.sim.timeout(self.propagation_ns + extra_ns,
+                                 fated).callbacks.append(self._land_cb)
+
+    def _land(self, event: Event) -> None:
+        frame = event._value
+        receiver = self.receiver
+        if receiver is None and not self.rx_queue.try_put(frame):
+            self.count_drop(frame, "queue-full")
+            return
+        self.stats.delivered += 1
+        if self.on_deliver is not None:
+            self.on_deliver(self, frame)
+        if receiver is not None:
+            receiver(frame)
 
     def count_drop(self, frame: Frame, reason: str) -> None:
         """Account one dropped frame and surface it to any observer."""
@@ -116,21 +159,47 @@ class Link:
         if self.on_drop is not None:
             self.on_drop(self, frame, reason)
 
-    def _deliver_after(self, frame: Frame, delay_ns: float) -> None:
-        def deliver(_event) -> None:
-            if self.rx_queue.try_put(frame):
-                self.stats.delivered += 1
-                if self.on_deliver is not None:
-                    self.on_deliver(self, frame)
-            else:
-                self.count_drop(frame, "queue-full")
-
-        self.sim.timeout(delay_ns).add_callback(deliver)
-
     def receive(self):
         """Generator yielding until a frame is available; returns it."""
         frame = yield self.rx_queue.get()
         return frame
+
+
+class Stage:
+    """A FIFO server for frames: one at a time, in arrival order.
+
+    ``hold(frame)`` starts serving a frame and returns the timer that
+    ends the service, with the frame as its value.  When it fires,
+    ``done(frame)`` runs (if given) and the next waiting frame starts at
+    that instant.  A switch port holds each frame for the switching
+    time; a trunk holds it until the far link has it on the wire.
+    """
+
+    __slots__ = ("hold", "done", "waiting", "busy", "_finish_cb")
+
+    def __init__(self, hold: Callable[[Frame], Timeout],
+                 done: Optional[Callable[[Frame], None]] = None):
+        self.hold = hold
+        self.done = done
+        self.waiting: deque[Frame] = deque()
+        self.busy = False
+        self._finish_cb = self._finish
+
+    def put(self, frame: Frame) -> None:
+        """Serve ``frame`` now if idle, else after the frames before it."""
+        if self.busy:
+            self.waiting.append(frame)
+        else:
+            self.busy = True
+            self.hold(frame).callbacks.append(self._finish_cb)
+
+    def _finish(self, event: Event) -> None:
+        if self.done is not None:
+            self.done(event._value)
+        if self.waiting:
+            self.hold(self.waiting.popleft()).callbacks.append(self._finish_cb)
+        else:
+            self.busy = False
 
 
 class Port:
@@ -204,12 +273,13 @@ class SwitchFabric:
 
     def attach(self, mac: MacAddress, name: str = "",
                latency_ns: Optional[float] = None) -> Port:
-        """Create a port for ``mac`` and start its forwarding loop."""
+        """Create a port for ``mac``; the frames it sends in are switched
+        one at a time, ``switching_ns`` each, in arrival order."""
         if mac.value in self.ports:
             raise ValueError(f"MAC {mac} already attached")
         port = Port(self, mac, name, latency_ns=latency_ns)
         self.ports[mac.value] = port
-        self.sim.process(self._forward_loop(port), name=f"switch-fwd-{port.name}")
+        port.ingress.deliver_to(Stage(self._switching, self._forward).put)
         return port
 
     def add_route(self, mac: MacAddress | int, *ports: Port) -> None:
@@ -248,26 +318,24 @@ class SwitchFabric:
         intra-flow reordering) while distinct flows spread.  Non-UDP/IP
         frames fall back to member 0.
         """
-        # a local import: repro.nic imports this module (import cycle)
-        from ..nic.rss import rss_hash
-
         flow = frame_flow(frame.data)
         if flow is None:
             return 0
         return (rss_hash(*flow) ^ self.ecmp_salt) % n
 
-    def _forward_loop(self, port: Port):
-        while True:
-            frame = yield from port.ingress.receive()
-            yield self.sim.timeout(self.switching_ns)
-            dst = frame_dst_mac(frame.data)
-            target = self.ports.get(dst)
-            if target is None:
-                target = self._route_port(dst, frame)
+    def _switching(self, frame: Frame) -> Timeout:
+        return self.sim.timeout(self.switching_ns, frame)
+
+    def _forward(self, frame: Frame) -> None:
+        """Send a switched frame out towards its destination MAC."""
+        dst = frame_dst_mac(frame.data)
+        target = self.ports.get(dst)
+        if target is None:
+            target = self._route_port(dst, frame)
             if target is None:
                 self.unknown_dst_drops += 1
-                continue
-            # Fire and forget: egress serialisation is timed by the
-            # output link, so one slow output port does not
-            # head-of-line block the whole switch.
-            target.egress.send(frame)
+                return
+        # Fire and forget: egress serialisation is timed by the
+        # output link, so one slow output port does not
+        # head-of-line block the whole switch.
+        target.egress.send(frame)

@@ -8,11 +8,13 @@ over trunk links.  Every hop keeps the existing link model — egress
 serialisation + propagation per direction — so cross-rack RPCs pay
 ToR switching, trunk wire time, spine switching, and the far ToR
 again, with queueing emerging from the same FIFO links the
-single-switch beds use.
+single-switch beds use.  A trunk direction is a FIFO
+:class:`~repro.net.link.Stage` run by link callbacks, as a switch
+port is, so a topology of any size adds **zero simulator processes**.
 
-Degenerate case: ``n_tors == 1`` builds exactly one fabric, no spine,
-no trunks, and **zero extra simulator processes**, which is what lets
-a 1-host fleet replay byte-identical to the legacy testbeds.
+Degenerate case: ``n_tors == 1`` builds exactly one fabric, no spine
+and no trunks, which is what lets a 1-host fleet replay byte-identical
+to the legacy testbeds.
 
 Routing is static and explicit: attaching an endpoint registers its
 MAC on the spine (pointing at the owning ToR's downlinks) and each ToR
@@ -29,7 +31,7 @@ from typing import Iterator, Optional
 
 from ..sim.engine import Simulator
 from ..sim.rng import derive_seed
-from .link import Port, SwitchFabric
+from .link import Port, Stage, SwitchFabric
 from .headers import MacAddress
 
 __all__ = ["TopologySpec", "Topology"]
@@ -125,7 +127,7 @@ class Topology:
                         name=f"spine.d{index}t{trunk}",
                         latency_ns=spec.trunk_latency_ns,
                     )
-                    self._shuttle(up, down, f"trunk-{tor.name}.{trunk}")
+                    self._shuttle(up, down)
                     ups.append(up)
                     downs.append(down)
                 self.uplinks[index] = tuple(ups)
@@ -138,16 +140,13 @@ class Topology:
 
     # -- wiring ----------------------------------------------------------
 
-    def _shuttle(self, a: Port, b: Port, name: str) -> None:
-        """Bridge two ports with one FIFO forwarding process per way."""
-
-        def pump(src: Port, dst: Port):
-            while True:
-                frame = yield from src.receive()
-                yield dst.send(frame)
-
-        self.sim.process(pump(a, b), name=f"{name}-up")
-        self.sim.process(pump(b, a), name=f"{name}-down")
+    @staticmethod
+    def _shuttle(a: Port, b: Port) -> None:
+        """Bridge two ports with one FIFO stage per way: a frame landing
+        on one port's egress enters the other port once the frame ahead
+        of it is on that wire."""
+        a.egress.deliver_to(Stage(b.send).put)
+        b.egress.deliver_to(Stage(a.send).put)
 
     def attach(
         self,

@@ -73,7 +73,7 @@ class ClientNode:
         #: of any observability work beyond this attribute test
         self.obs = None
         self._obs_roots: dict[int, Any] = {}
-        sim.process(self._rx_loop(), name=f"{name}-rx")
+        self.port.egress.deliver_to(self._on_frame)
 
     # -- sending ----------------------------------------------------------------
 
@@ -170,42 +170,41 @@ class ClientNode:
 
     # -- receiving ------------------------------------------------------------------
 
-    def _rx_loop(self):
-        while True:
-            frame = yield from self.port.receive()
-            try:
-                parsed = parse_udp_frame(frame)
-                message = RpcMessage.unpack(parsed.payload)
-            except (HeaderError, RpcError):
-                self.parse_errors += 1
-                continue
-            if message.header.rpc_type is not RpcType.RESPONSE:
-                self.unmatched_responses += 1
-                continue
-            pending = self._pending.pop(message.header.request_id, None)
-            if pending is None:
-                self.unmatched_responses += 1
-                continue
-            sent_ns, args, done = pending
-            if self.obs is not None:
-                root = self._obs_roots.pop(message.header.request_id, None)
-                if root is not None:
-                    ctx = frame.peek_meta("obs")
-                    wire_ns = frame.pop_meta("_obs_wire_ns", frame.born_ns)
-                    if ctx is not None:
-                        self.obs.record("wire.resp", "net", ctx,
-                                        wire_ns, self.sim.now)
-                    self.obs.finish(root)
-            try:
-                results = unmarshal_args(message.payload) if message.payload else []
-            except MarshalError:
-                results = []
-            done.succeed(
-                RpcResult(
-                    request_id=message.header.request_id,
-                    args=args,
-                    results=results,
-                    sent_ns=sent_ns,
-                    received_ns=self.sim.now,
-                )
+    def _on_frame(self, frame) -> None:
+        """Match one landed response frame to its pending request."""
+        try:
+            parsed = parse_udp_frame(frame)
+            message = RpcMessage.unpack(parsed.payload)
+        except (HeaderError, RpcError):
+            self.parse_errors += 1
+            return
+        if message.header.rpc_type is not RpcType.RESPONSE:
+            self.unmatched_responses += 1
+            return
+        pending = self._pending.pop(message.header.request_id, None)
+        if pending is None:
+            self.unmatched_responses += 1
+            return
+        sent_ns, args, done = pending
+        if self.obs is not None:
+            root = self._obs_roots.pop(message.header.request_id, None)
+            if root is not None:
+                ctx = frame.peek_meta("obs")
+                wire_ns = frame.pop_meta("_obs_wire_ns", frame.born_ns)
+                if ctx is not None:
+                    self.obs.record("wire.resp", "net", ctx,
+                                    wire_ns, self.sim.now)
+                self.obs.finish(root)
+        try:
+            results = unmarshal_args(message.payload) if message.payload else []
+        except MarshalError:
+            results = []
+        done.succeed(
+            RpcResult(
+                request_id=message.header.request_id,
+                args=args,
+                results=results,
+                sent_ns=sent_ns,
+                received_ns=self.sim.now,
             )
+        )

@@ -28,17 +28,17 @@ import scenarios  # noqa: E402
 SEED = 1
 #: the second pinned seed, with pins named ``perfbench.<workload>.seed3``
 SECOND_SEED = 3
-#: engine events dispatched per workload at SEED, recorded when
-#: per-request work moved from processes to Simulator.start.  Lower a
-#: ceiling when a change removes events; raising one needs the reason
-#: written down.
+#: engine events dispatched per workload at SEED, recorded when frames
+#: began to cross the fabric by timer callbacks, with no process woken
+#: per switch port, trunk or client.  Lower a ceiling when a change
+#: removes events; raising one needs the reason written down.
 EVENT_CEILINGS = {
-    "echo4.linux": 45_269,
-    "echo4.snap": 48_275,
-    "echo4.bypass": 36_246,
-    "echo4.lauberhorn": 31_553,
-    "tenant_storm": 144_358,
-    "fleet_mixed": 79_297,
+    "echo4.linux": 41_966,
+    "echo4.snap": 44_972,
+    "echo4.bypass": 32_943,
+    "echo4.lauberhorn": 28_250,
+    "tenant_storm": 138_653,
+    "fleet_mixed": 68_775,
 }
 
 

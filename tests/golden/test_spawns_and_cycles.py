@@ -13,16 +13,23 @@ This fence runs the six perfbench workloads at seed 1, as
 simulates: the processes constructed (the long-lived loops built at
 set-up do not count), and the objects the cyclic collector finds after
 a run made with it disabled.  It counts and never times, so it is
-deterministic.
+deterministic.  Set-up is fenced too where it is cheapest: frames
+cross switch ports, trunks and clients by timer callbacks, so building
+those constructs no process at all.
 """
 
+import contextlib
 import gc
 import pathlib
 import sys
 
 import pytest
 
+from repro.net import MacAddress, SwitchFabric, ip_address
+from repro.net.topology import Topology, TopologySpec
+from repro.sim import Simulator
 from repro.sim.engine import Process
+from repro.workloads.client import ClientNode
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -38,9 +45,9 @@ SPAWNS_PER_REQUEST = 0.0
 CYCLIC_GARBAGE_LIMIT = 64
 
 
-@pytest.fixture(scope="module")
-def per_run():
-    """Workload -> (processes constructed, cyclic objects, offered)."""
+@contextlib.contextmanager
+def counting_processes():
+    """Count ``Process`` constructions; yields a one-item list."""
     spawns = [0]
     init = Process.__init__
 
@@ -48,9 +55,18 @@ def per_run():
         spawns[0] += 1
         init(self, *args, **kwargs)
 
-    results = {}
     Process.__init__ = counting_init
     try:
+        yield spawns
+    finally:
+        Process.__init__ = init
+
+
+@pytest.fixture(scope="module")
+def per_run():
+    """Workload -> (processes constructed, cyclic objects, offered)."""
+    results = {}
+    with counting_processes() as spawns:
         for workload, build in scenarios.WORKLOADS.items():
             run = build(SEED)
             gc.collect()
@@ -65,8 +81,6 @@ def per_run():
             cyclic = gc.collect()
             assert rep.problems == []
             results[workload] = (spawns[0], cyclic, rep.offered)
-    finally:
-        Process.__init__ = init
     return results
 
 
@@ -85,3 +99,15 @@ def test_run_leaves_no_cyclic_garbage(workload, per_run):
     assert cyclic <= CYCLIC_GARBAGE_LIMIT, (
         f"{workload} left {cyclic} objects for the cyclic collector, over "
         f"the limit of {CYCLIC_GARBAGE_LIMIT}")
+
+
+def test_switch_ports_trunks_and_clients_build_no_process():
+    with counting_processes() as spawns:
+        sim = Simulator()
+        SwitchFabric(sim).attach(MacAddress(0x0200_0000_0001), "port")
+        topology = Topology(sim, TopologySpec(n_tors=2, n_trunks=2))
+        ClientNode(sim, topology.tors[1], MacAddress(0x0200_0000_0002),
+                   ip_address("10.0.0.2"), name="client")
+    assert spawns[0] == 0, (
+        f"building a switch port, a 2-ToR topology with 2 trunks per ToR "
+        f"and a client constructed {spawns[0]} processes")
