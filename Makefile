@@ -21,7 +21,9 @@
 #   run-all-par        the same artifact fanned out over REPRO_JOBS
 #                      workers (default 4); tables are identical
 #   run-all-faults     the artifact under the default fault plan (cached
-#                      under its own keys — the plan is in the cache key)
+#                      under its own keys — the plan is in the cache key;
+#                      artifacts land in results/faults/, never over the
+#                      committed results/ files)
 #   run-e20            the observability experiment alone: per-stage
 #                      attribution + armed/unarmed RTT identity +
 #                      results/e20_trace.json

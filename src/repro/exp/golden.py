@@ -27,8 +27,10 @@ from __future__ import annotations
 import hashlib
 import json
 
-__all__ = ["HASHED_EXPERIMENTS", "golden_digest"]
+__all__ = ["GOLDEN_EXPERIMENTS", "HASHED_EXPERIMENTS", "golden_digest"]
 
+#: experiments pinned by their full JSON under ``tests/golden/``
+GOLDEN_EXPERIMENTS = tuple(f"e{i}" for i in range(1, 19))
 #: experiments pinned by digest rather than full JSON
 HASHED_EXPERIMENTS = ("e19", "e20", "e21", "e22", "e23")
 

@@ -203,7 +203,7 @@ def run_experiments(
     experiment over the pool at once, then prints the experiment blocks
     in order from captured output.  ``smoke=True`` is the CI-sized run:
     each sweep keeps only the points its grid marks for smoke runs (the
-    whole grid if it marks none) and validates its artifact as partial.
+    whole grid if it marks none).
     """
     outcome = RunOutcome()
     job_lists = {

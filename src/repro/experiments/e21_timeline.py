@@ -41,12 +41,11 @@ from ..obs.tail import render_tail_report, tail_report
 from ..obs.timeseries import TimeSeriesSampler
 from ..sim.clock import MS
 from .four_stacks import STACKS, _build_stack
-from .grid import Grid, write_json_artifact
+from .grid import Grid, artifact_path, write_json_artifact
 from .report import fmt_ns, print_table
 
 __all__ = ["GRID", "TimelineResult", "measure_timeline_stack",
-           "render_timeline", "write_timeline_artifact",
-           "validate_timeline_payload", "TIMELINE_ARTIFACT"]
+           "render_timeline", "write_timeline_artifact", "TIMELINE_ARTIFACT"]
 
 #: default location of the JSON artifact (relative to the runner's cwd)
 TIMELINE_ARTIFACT = "results/e21_timeline.json"
@@ -245,61 +244,12 @@ def write_timeline_artifact(results: list["TimelineResult"],
     return write_json_artifact(payload, path)
 
 
-def validate_timeline_payload(payload: dict) -> None:
-    """Schema/acceptance check for the E21 artifact; raises ValueError.
-
-    Checks what the experiment promises: every stack has windowed
-    series for at least six metrics spanning the hw, OS, and NIC
-    layers; the injected violation froze a flight dump; the tail
-    report attributes every slow request; armed == unarmed.
-    """
-    problems: list[str] = []
-    stacks = payload.get("stacks")
-    if not isinstance(stacks, dict):
-        raise ValueError("payload has no 'stacks' mapping")
-    missing = [s for s in STACKS if s not in stacks]
-    if missing:
-        problems.append(f"missing stacks: {missing}")
-    for stack, entry in stacks.items():
-        if not entry.get("identical"):
-            problems.append(f"{stack}: armed run was not bit-identical")
-        layers = entry.get("layers", {})
-        if sum(layers.values()) < 6:
-            problems.append(f"{stack}: fewer than 6 windowed metrics")
-        for layer in ("hw", "os", "nic"):
-            if layers.get(layer, 0) < 1:
-                problems.append(f"{stack}: no {layer}-layer metrics")
-        ts = entry.get("timeseries", {})
-        windows = ts.get("windows", [])
-        if not windows:
-            problems.append(f"{stack}: no time-series windows")
-        if ts.get("samples", 0) != (len(windows)
-                                    + ts.get("dropped_windows", 0)):
-            problems.append(f"{stack}: window accounting does not balance")
-        dump = entry.get("flight_dump")
-        if not dump or not dump.get("events"):
-            problems.append(f"{stack}: no flight dump (or it is empty)")
-        elif not dump.get("reason"):
-            problems.append(f"{stack}: flight dump has no trigger reason")
-        tail = entry.get("tail", {})
-        requests = tail.get("requests", [])
-        if not requests:
-            problems.append(f"{stack}: tail report has no requests")
-        for record in requests:
-            if "state" not in record or "stages" not in record:
-                problems.append(
-                    f"{stack}: tail request {record.get('trace_id')} "
-                    "lacks state/stage attribution")
-    if problems:
-        raise ValueError("; ".join(problems))
-
-
 def _assemble(values: list, smoke: bool) -> list[TimelineResult]:
     results = [TimelineResult(**value) for value in values]
     render_timeline(results)
     payload = write_timeline_artifact(results)
-    validate_timeline_payload(payload)
-    print(f"\n[wrote {TIMELINE_ARTIFACT}: {len(payload['stacks'])} stacks]")
+    print(f"\n[wrote {artifact_path(TIMELINE_ARTIFACT)}: "
+          f"{len(payload['stacks'])} stacks]")
     return results
 
 

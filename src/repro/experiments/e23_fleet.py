@@ -21,8 +21,8 @@ Three sections:
   coherent hosts in one rack, split across racks, everywhere, and a
   heterogeneous linux/snap/bypass/lauberhorn mix.
 
-Artifact: ``results/e23_fleet.json`` (schema-checked by
-:func:`validate_fleet_payload`).
+Artifact: ``results/e23_fleet.json``; its claims are rows of
+:mod:`repro.exp.claims`.
 """
 
 from __future__ import annotations
@@ -34,13 +34,12 @@ from ..fleet import Fleet, HostSpec, build_fleet
 from ..metrics.histogram import nearest_rank
 from ..net.topology import TopologySpec
 from ..sim.clock import MS
-from .grid import Grid, write_json_artifact
+from .grid import Grid, artifact_path, write_json_artifact
 from .report import fmt_ns, print_table
 
 __all__ = ["GRID", "FleetCell", "FLEET_ARTIFACT", "SCALING_LABELS",
            "SKEW_LABELS", "PLACEMENT_LABELS", "cell_labels",
-           "measure_fleet_cell", "render_fleet", "write_fleet_artifact",
-           "validate_fleet_payload"]
+           "measure_fleet_cell", "render_fleet", "write_fleet_artifact"]
 
 #: default location of the JSON artifact (relative to the runner's cwd)
 FLEET_ARTIFACT = "results/e23_fleet.json"
@@ -257,69 +256,11 @@ def write_fleet_artifact(cells: list["FleetCell"],
     return write_json_artifact(payload, path)
 
 
-def validate_fleet_payload(payload: dict, complete: bool = True) -> None:
-    """Schema/acceptance check for the E23 artifact; raises ValueError.
-
-    What the tentpole promises: every cell ran its full request count
-    with **zero** fleet-invariant violations; the balancer's ledger is
-    present and sums to the completed requests; and (``complete=True``)
-    the grid covers every section's labels and the placement section
-    shows the coherent NIC earning its keep (``all`` beats ``none`` on
-    median RTT).
-    """
-    problems: list[str] = []
-    cells = payload.get("cells")
-    if not isinstance(cells, list) or not cells:
-        raise ValueError("payload has no 'cells' list")
-    seen = set()
-    by_key = {}
-    for cell in cells:
-        tag = f"{cell.get('section')}/{cell.get('label')}"
-        seen.add((cell.get("section"), cell.get("label")))
-        by_key[(cell.get("section"), cell.get("label"))] = cell
-        for key in ("section", "label", "stacks", "completed",
-                    "p50_rtt_ns", "routed", "violations"):
-            if key not in cell:
-                problems.append(f"{tag}: missing {key}")
-        if cell.get("violations", 1) != 0:
-            problems.append(
-                f"{tag}: {cell.get('violations')} invariant violation(s)")
-        if cell.get("completed") != cell.get("n_requests"):
-            problems.append(
-                f"{tag}: completed {cell.get('completed')} of "
-                f"{cell.get('n_requests')} requests")
-        routed = cell.get("routed", [])
-        if sum(routed) != cell.get("completed"):
-            problems.append(
-                f"{tag}: balancer routed {sum(routed)} != completed "
-                f"{cell.get('completed')}")
-        if len(routed) != len(cell.get("stacks", [])):
-            problems.append(f"{tag}: ledger covers {len(routed)} replicas "
-                            f"for {len(cell.get('stacks', []))} hosts")
-    if complete:
-        wanted = {(section, label) for section in SECTIONS
-                  for label in cell_labels(section)}
-        missing = wanted - seen
-        if missing:
-            problems.append(f"missing cells: {sorted(missing)}")
-        all_cell = by_key.get(("placement", "all"))
-        none_cell = by_key.get(("placement", "none"))
-        if all_cell and none_cell:
-            if all_cell["p50_rtt_ns"] >= none_cell["p50_rtt_ns"]:
-                problems.append(
-                    "placement: all-Lauberhorn p50 "
-                    f"({all_cell['p50_rtt_ns']:.0f} ns) does not beat "
-                    f"all-kernel ({none_cell['p50_rtt_ns']:.0f} ns)")
-    if problems:
-        raise ValueError("; ".join(problems))
-
-
 def _assemble(values: list, smoke: bool) -> list[FleetCell]:
     cells = [FleetCell(**value) for value in values]
     render_fleet(cells)
-    payload = write_fleet_artifact(cells)
-    validate_fleet_payload(payload, complete=not smoke)
-    print(f"[wrote {FLEET_ARTIFACT}: {len(payload['cells'])} cells]")
+    write_fleet_artifact(cells)
+    print(f"[wrote {artifact_path(FLEET_ARTIFACT)}: {len(cells)} cells]")
     return cells
 
 

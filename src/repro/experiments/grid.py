@@ -2,11 +2,11 @@
 
 :mod:`repro.exp.jobs` derives every job spec, per-point seed, smoke run
 and assembly from a sweep module's ``GRID``, so a new cell is one new
-point.  This module imports nothing from :mod:`repro`: ``repro.exp``
-imports every experiment module, so an experiment importing it would
-meet a half-initialised package, and the result cache (which
-fingerprints a job by its module's import closure) would key every
-experiment on every other experiment's source.
+point.  This module imports nothing from :mod:`repro.exp` or another
+experiment: ``repro.exp`` imports every experiment module, so an
+experiment importing it would meet a half-initialised package, and the
+result cache (which fingerprints a job by its module's import closure)
+would key every experiment on every other experiment's source.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-__all__ = ["Grid", "rendered", "write_json_artifact"]
+from ..faults.context import active_plan
+
+__all__ = ["Grid", "artifact_path", "rendered", "write_json_artifact"]
 
 
 @dataclass(frozen=True)
@@ -30,7 +32,7 @@ class Grid:
     #: ``repro.experiments.<module>.<fn>(**kwargs)``.
     points: tuple[tuple[str, str, dict], ...]
     #: ``(point values in order, smoke) -> result``: prints the tables
-    #: and writes and validates the artifact, if there is one
+    #: and writes the artifact, if there is one
     assemble: Callable[[list, bool], Any]
     #: point functions take a ``seed`` keyword: 0 at root seed 0, else
     #: derived from (root seed, name, key)
@@ -51,8 +53,21 @@ def rendered(record: type, render: Callable[[list], None]
     return assemble
 
 
+def artifact_path(path: str) -> str:
+    """Where an artifact meant for ``path`` is written: under
+    ``faults/`` beside it while a fault plan that injects something is
+    active, so a faulted run never overwrites the committed artifacts."""
+    plan = active_plan()
+    if plan is None or not plan.active:
+        return path
+    directory, name = os.path.split(path)
+    return os.path.join(directory, "faults", name)
+
+
 def write_json_artifact(payload: dict, path: str) -> dict:
-    """Write ``payload`` as indented JSON at ``path``; return it."""
+    """Write ``payload`` as indented JSON at ``artifact_path(path)``;
+    return it."""
+    path = artifact_path(path)
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)

@@ -31,7 +31,7 @@ from ..obs.export import stage_attribution
 from ..obs.instrument import arm_testbed, bind_testbed_metrics
 from ..sim.clock import MS
 from .four_stacks import STACKS, _build_stack
-from .grid import Grid
+from .grid import Grid, artifact_path
 from .report import fmt_ns, print_table
 
 __all__ = ["GRID", "ObsResult", "STAGE_ORDER", "measure_obs_stack",
@@ -152,11 +152,13 @@ def render_obs_attribution(results: list["ObsResult"]) -> None:
 
 def write_trace_artifact(results: list["ObsResult"],
                          path: str = TRACE_ARTIFACT) -> dict:
-    """Write all stacks' spans as one Perfetto-loadable trace file."""
+    """Write all stacks' spans as one Perfetto-loadable trace file at
+    ``artifact_path(path)``."""
     import os
 
     from ..obs.export import export_chrome_trace
 
+    path = artifact_path(path)
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
@@ -169,7 +171,7 @@ def _assemble(values: list, smoke: bool) -> list[ObsResult]:
     results = [ObsResult(**value) for value in values]
     render_obs_attribution(results)
     payload = write_trace_artifact(results)
-    print(f"\n[wrote {TRACE_ARTIFACT}: "
+    print(f"\n[wrote {artifact_path(TRACE_ARTIFACT)}: "
           f"{len(payload['traceEvents'])} trace events]")
     return results
 

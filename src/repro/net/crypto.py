@@ -11,9 +11,9 @@ Two ways to pay for AEAD (AES-GCM-style) protection of RPC payloads:
   (near) line rate, adding latency but zero host instructions; the
   model mirrors the deserialisation offload's shape.
 
-The ablation experiment (bench_ablation.py) compares stacks with
-encryption on: the software stacks pay per byte on the critical path,
-Lauberhorn hides it in the NIC pipeline.
+The ablation experiment (E12, ``experiments/ablation.py``) compares
+stacks with encryption on: the software stacks pay per byte on the
+critical path, Lauberhorn hides it in the NIC pipeline.
 """
 
 from __future__ import annotations

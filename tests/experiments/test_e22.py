@@ -1,17 +1,17 @@
-"""E22: the smoke tournament, artifact schema, and validation teeth."""
+"""E22: the smoke tournament, its artifact, and the claims' teeth."""
 
 import copy
 import json
 
 import pytest
 
+from repro.exp.claims import CLAIMS, check, failures
 from repro.experiments.e22_control import (
     CONTROL_ARTIFACT,
     POLICY_SPECS,
     ControlCell,
     measure_adaptive_mix,
     render_control,
-    validate_control_payload,
     write_control_artifact,
 )
 
@@ -24,6 +24,12 @@ def smoke(smoke_run):
     return cells, root / CONTROL_ARTIFACT
 
 
+@pytest.fixture
+def value(smoke_run):
+    """A private copy of the smoke run's value, to break."""
+    return copy.deepcopy(smoke_run("e22")[0])
+
+
 def test_smoke_covers_every_policy(smoke):
     cells, _path = smoke
     assert [cell.policy for cell in cells] == list(POLICY_SPECS)
@@ -34,7 +40,6 @@ def test_smoke_covers_every_policy(smoke):
 def test_smoke_artifact_validates(smoke, capsys):
     cells, path = smoke
     payload = write_control_artifact(cells, None, str(path))
-    validate_control_payload(payload, complete=False)
     on_disk = json.loads(path.read_text())
     assert on_disk == payload
     assert on_disk["experiment"] == "e22"
@@ -42,38 +47,30 @@ def test_smoke_artifact_validates(smoke, capsys):
     assert "policy tournament" in capsys.readouterr().out
 
 
-def test_validation_rejects_a_non_identical_inert_cell(smoke):
-    cells, path = smoke
-    payload = write_control_artifact(cells, None, str(path))
-    broken = copy.deepcopy(payload)
-    for cell in broken["cells"]:
+def test_validation_rejects_a_non_identical_inert_cell(value):
+    assert failures({"e22": value}) == []
+    for cell in value["cells"]:
         if cell["policy"] == "none":
             cell["identical"] = False
-    with pytest.raises(ValueError, match="not byte-identical"):
-        validate_control_payload(broken, complete=False)
+    assert failures({"e22": value}) == [
+        "e22.inert_controller_is_byte_identical"]
 
 
-def test_validation_rejects_an_idle_active_cell(smoke):
-    cells, path = smoke
-    payload = write_control_artifact(cells, None, str(path))
-    broken = copy.deepcopy(payload)
-    for cell in broken["cells"]:
+def test_validation_rejects_an_idle_active_cell(value):
+    for cell in value["cells"]:
         if cell["policy"] != "none":
             cell["epochs"] = 0
-    with pytest.raises(ValueError, match="never reached an epoch"):
-        validate_control_payload(broken, complete=False)
+    assert failures({"e22": value}) == ["e22.active_policy_reaches_an_epoch"]
 
 
-def test_validation_requires_full_coverage_when_complete(smoke):
-    cells, _path = smoke
-    payload = {
-        "experiment": "e22",
-        "cells": [json.loads(json.dumps(cell.__dict__, default=str))
-                  for cell in cells],
-        "adaptive": None,
-    }
-    with pytest.raises(ValueError, match="missing"):
-        validate_control_payload(payload, complete=True)
+def test_validation_requires_full_coverage_when_complete(value):
+    # The smoke run skips the adaptive mix, so the mix's claims select
+    # nothing there: only the full, digest-pinned run speaks for them.
+    assert value["adaptive"] is None
+    by_id = {claim.id: claim for claim in CLAIMS}
+    for claim_id in ("e22.adaptive_mix_runs_every_epoch",
+                     "e22.greedy_chooser_explores_every_stack"):
+        assert check(by_id[claim_id], value) == (0, [])
 
 
 def test_adaptive_mix_explores_then_settles():

@@ -1,10 +1,11 @@
-"""E23: the fleet smoke run, artifact schema, and validation teeth."""
+"""E23: the fleet smoke run, its artifact, and the claims' teeth."""
 
 import copy
 import json
 
 import pytest
 
+from repro.exp.claims import CLAIMS, check, failures
 from repro.exp.pool import jsonable
 from repro.experiments.e23_fleet import (
     FLEET_ARTIFACT,
@@ -14,7 +15,6 @@ from repro.experiments.e23_fleet import (
     cell_labels,
     measure_fleet_cell,
     render_fleet,
-    validate_fleet_payload,
     write_fleet_artifact,
 )
 
@@ -25,6 +25,12 @@ def smoke(smoke_run):
     value, root = smoke_run("e23")
     cells = [FleetCell(**cell) for cell in value]
     return cells, root / FLEET_ARTIFACT
+
+
+@pytest.fixture
+def value(smoke_run):
+    """A private copy of the smoke run's cells, to break."""
+    return copy.deepcopy(smoke_run("e23")[0])
 
 
 def test_smoke_cells_complete_cleanly(smoke):
@@ -43,7 +49,6 @@ def test_smoke_cells_complete_cleanly(smoke):
 def test_smoke_artifact_round_trips_and_validates(smoke, capsys):
     cells, path = smoke
     payload = write_fleet_artifact(cells, str(path))
-    validate_fleet_payload(payload, complete=False)
     on_disk = json.loads(path.read_text())
     assert on_disk == payload
     assert on_disk["experiment"] == "e23"
@@ -54,35 +59,30 @@ def test_smoke_artifact_round_trips_and_validates(smoke, capsys):
     assert "placement grid" in out
 
 
-def test_validation_rejects_a_violating_cell(smoke):
-    cells, path = smoke
-    broken = copy.deepcopy(write_fleet_artifact(cells, str(path)))
-    broken["cells"][0]["violations"] = 2
-    with pytest.raises(ValueError, match="violation"):
-        validate_fleet_payload(broken, complete=False)
+def test_validation_rejects_a_violating_cell(value):
+    assert failures({"e23": value}) == []
+    value[0]["violations"] = 2
+    assert failures({"e23": value}) == ["e23.fleet_invariants_hold"]
 
 
-def test_validation_rejects_a_leaky_ledger(smoke):
-    cells, path = smoke
-    broken = copy.deepcopy(write_fleet_artifact(cells, str(path)))
-    broken["cells"][0]["routed"][0] += 1
-    with pytest.raises(ValueError, match="routed"):
-        validate_fleet_payload(broken, complete=False)
+def test_validation_rejects_a_leaky_ledger(value):
+    value[0]["routed"][0] += 1
+    assert failures({"e23": value}) == ["e23.balancer_ledger_balances"]
 
 
-def test_validation_rejects_incomplete_runs(smoke):
-    cells, path = smoke
-    broken = copy.deepcopy(write_fleet_artifact(cells, str(path)))
-    broken["cells"][0]["completed"] -= 1
-    with pytest.raises(ValueError, match="completed"):
-        validate_fleet_payload(broken, complete=False)
+def test_validation_rejects_incomplete_runs(value):
+    value[0]["completed"] -= 1
+    # the balancer's ledger no longer sums to the completed count either
+    assert failures({"e23": value}) == ["e23.every_cell_completes",
+                                        "e23.balancer_ledger_balances"]
 
 
-def test_validation_requires_full_grid_when_complete(smoke):
-    cells, path = smoke
-    payload = write_fleet_artifact(cells, str(path))
-    with pytest.raises(ValueError, match="missing cells"):
-        validate_fleet_payload(payload, complete=True)
+def test_validation_requires_full_grid_when_complete(value):
+    # The placement headline needs the all- and no-Lauberhorn cells,
+    # which only the full, digest-pinned run has.
+    by_id = {claim.id: claim for claim in CLAIMS}
+    assert check(by_id["e23.coherent_placement_beats_kernel"], value) == (
+        0, [])
 
 
 def test_cell_measurement_is_deterministic():

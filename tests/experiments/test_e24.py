@@ -1,4 +1,4 @@
-"""E24: the tenancy smoke run, artifact schema, and validation teeth."""
+"""E24: the tenancy smoke run, its artifact, and the claims' teeth."""
 
 import copy
 import json
@@ -6,16 +6,17 @@ from pathlib import Path
 
 import pytest
 
+from repro.exp.claims import failures
 from repro.exp.golden import golden_digest
 from repro.exp.pool import jsonable
 from repro.experiments.e24_tenancy import (
+    GRID,
     SECTIONS,
     TENANCY_ARTIFACT,
     TenancyCell,
     cell_labels,
     measure_single_cell,
     render_tenancy,
-    validate_tenancy_payload,
     write_tenancy_artifact,
 )
 
@@ -28,6 +29,30 @@ def smoke(smoke_run):
     value, root = smoke_run("e24")
     cells = [TenancyCell(**cell) for cell in value]
     return cells, root / TENANCY_ARTIFACT
+
+
+@pytest.fixture
+def value(smoke_run):
+    """A private copy of the smoke run's cells, to break."""
+    return copy.deepcopy(smoke_run("e24")[0])
+
+
+def _full_grid(cells: list) -> list:
+    """E24's whole grid in grid order, stubbed from the smoke cells:
+    solo cells copy the solo, ``-on`` cells the isolated storm cell and
+    the rest the unisolated one."""
+    by_label = {cell["label"]: cell for cell in cells}
+    grid = []
+    for key, _fn, _kwargs in GRID.points:
+        section, label = key.split("@")
+        if label == "solo":
+            source, pattern = "solo", ""
+        else:
+            source = "2t-storm-on" if label.endswith("-on") else "2t-storm-off"
+            pattern = label.split("-")[-2]
+        grid.append(dict(copy.deepcopy(by_label[source]), section=section,
+                         label=label, pattern=pattern))
+    return grid
 
 
 def test_smoke_cells_complete_cleanly(smoke):
@@ -61,7 +86,6 @@ def test_tenant_ledger_conserves_in_every_cell(smoke):
 def test_smoke_artifact_round_trips_and_validates(smoke, capsys):
     cells, path = smoke
     payload = write_tenancy_artifact(cells, str(path))
-    validate_tenancy_payload(payload, complete=False)
     on_disk = json.loads(path.read_text())
     assert on_disk == payload
     assert on_disk["experiment"] == "e24"
@@ -79,60 +103,57 @@ def test_smoke_artifact_matches_digest_pin(smoke):
         "`python tools/regen_golden.py --hashes`")
 
 
-def test_validation_rejects_a_violating_cell(smoke):
-    cells, path = smoke
-    broken = copy.deepcopy(write_tenancy_artifact(cells, str(path)))
-    broken["cells"][0]["violations"] = 1
-    with pytest.raises(ValueError, match="violation"):
-        validate_tenancy_payload(broken, complete=False)
+def test_validation_rejects_a_violating_cell(value):
+    assert failures({"e24": value}) == []
+    value[0]["violations"] = 1
+    assert failures({"e24": value}) == ["e24.tenant_invariants_hold"]
 
 
-def test_validation_rejects_a_starved_victim(smoke):
-    cells, path = smoke
-    broken = copy.deepcopy(write_tenancy_artifact(cells, str(path)))
-    broken["cells"][0]["victim_completed"] -= 1
-    with pytest.raises(ValueError, match="victim completed"):
-        validate_tenancy_payload(broken, complete=False)
+def test_validation_rejects_a_starved_victim(value):
+    value[0]["victim_completed"] -= 1
+    assert failures({"e24": value}) == ["e24.victim_fully_served"]
 
 
-def test_validation_rejects_an_unpoliced_isolated_aggressor(smoke):
-    cells, path = smoke
-    broken = copy.deepcopy(write_tenancy_artifact(cells, str(path)))
-    for cell in broken["cells"]:
+def test_validation_rejects_an_unpoliced_isolated_aggressor(value):
+    for cell in value:
         if cell["isolated"] and cell["pattern"]:
             cell["ledger"]["aggressor.rate_dropped"] = 0
-    with pytest.raises(ValueError, match="rate-policed"):
-        validate_tenancy_payload(broken, complete=False)
+    assert failures({"e24": value}) == ["e24.isolated_aggressor_is_policed"]
 
 
-def test_validation_requires_full_grid_and_headline_when_complete(smoke):
-    cells, path = smoke
-    payload = write_tenancy_artifact(cells, str(path))
-    with pytest.raises(ValueError, match="missing cells"):
-        validate_tenancy_payload(payload, complete=True)
+def test_validation_requires_full_grid_and_headline_when_complete(value):
+    grid = _full_grid(value)
+    assert [(c["section"], c["label"]) for c in grid] == [
+        (section, label) for section in SECTIONS
+        for label in cell_labels(section)]
+    # the stubbed dmaflood cells charge no DMA fallbacks: that row fails
+    # on the stubs already
+    stubbed = set(failures({"e24": grid}))
+    assert stubbed == {"e24.dmaflood_charges_dma_fallbacks"}
     # Headline teeth: an isolated storm cell whose tail exceeds 2x solo
-    # must fail even with the grid complete.
-    fabricated = copy.deepcopy(payload)
-    by_label = {c["label"]: c for c in fabricated["cells"]}
-    for section in SECTIONS:
-        for label in cell_labels(section):
-            if (section, label) in {("single", c["label"])
-                                    for c in fabricated["cells"]}:
-                continue
-            stub = copy.deepcopy(by_label["2t-storm-on"]
-                                 if label.endswith("-on") or label == "solo"
-                                 else by_label["2t-storm-off"])
-            stub["section"], stub["label"] = section, label
-            stub["pattern"] = "" if label == "solo" else \
-                label.replace("t-", "-").split("-")[-2] \
-                if section == "single" else "storm"
-            fabricated["cells"].append(stub)
-    bad = copy.deepcopy(fabricated)
-    for cell in bad["cells"]:
+    # fails its claim across the whole grid.
+    for cell in grid:
         if cell["label"] == "2t-storm-on":
             cell["victim_p999_ns"] = 1e9
-    with pytest.raises(ValueError, match="exceeds 2x solo"):
-        validate_tenancy_payload(bad, complete=True)
+    assert set(failures({"e24": grid})) - stubbed == {
+        "e24.isolation_keeps_victim_within_2x_solo"}
+
+
+def test_assemble_writes_a_full_grid_whose_headline_fails(
+        value, tmp_path, monkeypatch):
+    # What a faulted run produces: retransmit timeouts fatten the solo
+    # victim's tail past the stormed ones, so the unisolated cells stay
+    # "within 2x solo".  Assembly still renders and writes the artifact.
+    grid = _full_grid(value)
+    for cell in grid:
+        if cell["label"] == "solo":
+            cell["victim_p999_ns"] = 1e9
+    assert "e24.unisolated_victim_exceeds_2x_solo" in failures({"e24": grid})
+    monkeypatch.chdir(tmp_path)
+    cells = GRID.assemble(grid, False)
+    written = json.loads((tmp_path / TENANCY_ARTIFACT).read_text())
+    assert written["cells"] == [jsonable(cell) for cell in cells]
+    assert len(cells) == len(GRID.points)
 
 
 def test_cell_measurement_is_deterministic():

@@ -120,3 +120,23 @@ def test_run_all_cli_runs_selected(capsys):
     assert main(["e7"]) == 0
     out = capsys.readouterr().out
     assert "model checking" in out
+
+
+@pytest.mark.parametrize("spec, directory", [
+    (None, "results"),
+    ("loss=0", "results"),              # a plan that injects nothing
+    ("default", "results/faults"),
+])
+def test_faulted_runs_write_artifacts_under_results_faults(
+        spec, directory, tmp_path, monkeypatch):
+    from repro.experiments.grid import write_json_artifact
+    from repro.experiments.obs_attribution import write_trace_artifact
+    from repro.faults import FaultPlan, active
+
+    monkeypatch.chdir(tmp_path)
+    with active(FaultPlan.from_spec(spec) if spec else None):
+        write_json_artifact({}, "results/e24_tenancy.json")
+        write_trace_artifact([])
+    assert sorted(str(path.relative_to(tmp_path))
+                  for path in tmp_path.rglob("*.json")) == [
+        f"{directory}/e20_trace.json", f"{directory}/e24_tenancy.json"]

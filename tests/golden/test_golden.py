@@ -10,30 +10,20 @@ Any code change that shifts any number in any table fails here with a
 readable per-path diff — which is the point: behaviour changes must be
 *intentional*, reviewed via ``make regen-golden`` and a git diff.
 
-The whole corpus runs under an **inert ambient policy spec**
-(``PolicySpec.from_spec("none")``), so these pins double as the
-control plane's no-regression contract: a disabled controller must
-leave every experiment byte-identical to a build that predates
-``repro.ctrl``.  The goldens were recorded without the spec armed; if
-an inert controller ever perturbs a result, the diff fails.
+The experiments run once per session (``conftest.py``), under an
+inert ambient policy spec, and ``test_claims.py`` reads the same runs.
 """
 
-import io
 import json
-import os
 import pathlib
 import re
-from contextlib import redirect_stdout
 
 import pytest
 
-from repro.ctrl import PolicySpec
-from repro.ctrl import active as policy_active
-from repro.exp.golden import HASHED_EXPERIMENTS, golden_digest
-from repro.exp.jobs import run_experiments
+from repro.exp.golden import (GOLDEN_EXPERIMENTS, HASHED_EXPERIMENTS,
+                              golden_digest)
 
 GOLDEN_DIR = pathlib.Path(__file__).parent
-GOLDEN_EXPERIMENTS = tuple(f"e{i}" for i in range(1, 19))
 
 _MAX_DIFFS_SHOWN = 12
 #: what ``repro.exp.pool.jsonable`` emits for a value it cannot serialise
@@ -65,42 +55,6 @@ def _diff_paths(expected, actual, path="", out=None):
     elif expected != actual:
         out.append(f"{path or '<root>'}: {expected!r} -> {actual!r}")
     return out
-
-
-def _run_under_inert_policy(names):
-    """Serial, cache-free run with the inert policy spec armed."""
-    with policy_active(PolicySpec.from_spec("none")):
-        with redirect_stdout(io.StringIO()):
-            outcome = run_experiments(list(names), jobs=1,
-                                      cache=None, root_seed=0)
-    assert not outcome.failed, "experiment job failed; see job results"
-    # Round-trip through JSON so float/tuple representations match the
-    # files exactly.
-    return {
-        name: json.loads(json.dumps(value, sort_keys=True))
-        for name, value in outcome.values.items()
-    }
-
-
-@pytest.fixture(scope="module")
-def fresh_values():
-    """One serial, cache-free run of all JSON-pinned experiments."""
-    return _run_under_inert_policy(GOLDEN_EXPERIMENTS)
-
-
-@pytest.fixture(scope="module")
-def hashed_values(tmp_path_factory):
-    """One run of the digest-pinned experiments, artifacts in a tmp cwd.
-
-    E20/E21 write ``results/*`` artifacts as part of their assembly;
-    running in a temporary directory keeps the checkout clean.
-    """
-    keep = os.getcwd()
-    os.chdir(tmp_path_factory.mktemp("golden-artifacts"))
-    try:
-        return _run_under_inert_policy(HASHED_EXPERIMENTS)
-    finally:
-        os.chdir(keep)
 
 
 @pytest.mark.parametrize("name", GOLDEN_EXPERIMENTS)

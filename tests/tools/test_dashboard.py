@@ -128,3 +128,27 @@ def test_cli_missing_artifact_is_a_clean_error(dashboard, tmp_path, capsys):
                            "--out", str(tmp_path / "dash.html")])
     assert code == 1
     assert "run_all e21" in capsys.readouterr().out
+
+
+def test_validate_checks_every_cell_carries_its_fields(dashboard, tmp_path,
+                                                       capsys):
+    payload = _payload()
+    payload["stacks"] = {stack: dict(payload["stacks"]["linux"])
+                         for stack in ("linux", "snap", "bypass", "lauberhorn")}
+    slo = json.loads((REPO / "results" / "e25_slo.json").read_text())
+    artifact, slo_path = tmp_path / "timeline.json", tmp_path / "slo.json"
+    args = ["--in", str(artifact), "--slo-in", str(slo_path),
+            "--out", str(tmp_path / "dash.html"), "--validate"]
+
+    def validate() -> int:
+        artifact.write_text(json.dumps(payload))
+        slo_path.write_text(json.dumps(slo))
+        return dashboard.main(args)
+
+    assert validate() == 0
+    del payload["stacks"]["snap"]["tail"], slo["cells"][0]["flame"]
+    assert validate() == 1
+    out = capsys.readouterr().out
+    assert "schema check: OK" in out
+    assert "violations: snap: missing tail; single/2t-tight-calm: missing " \
+        "flame" in out

@@ -30,6 +30,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import html
 import json
 import pathlib
@@ -40,12 +41,10 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.experiments.e21_timeline import (  # noqa: E402
     TIMELINE_ARTIFACT,
-    validate_timeline_payload,
+    TimelineResult,
 )
-from repro.experiments.e25_slo import (  # noqa: E402
-    SLO_ARTIFACT,
-    validate_slo_payload,
-)
+from repro.experiments.e25_slo import SLO_ARTIFACT, SloCell  # noqa: E402
+from repro.experiments.four_stacks import STACKS  # noqa: E402
 from repro.obs.tail import STATE_PATTERNS, render_tail_report  # noqa: E402
 
 #: how many sparklines per stack (busiest state metrics first)
@@ -347,6 +346,20 @@ def build_dashboard(payload: dict, slo_payload: dict | None = None) -> str:
         f"{sections}</body></html>")
 
 
+def schema_problems(cells: dict, record: type) -> list[str]:
+    """What the dashboard needs of an artifact it reads from disk: every
+    cell (name -> field dict, None when absent) carries each field of
+    its ``record`` dataclass."""
+    names = [field.name for field in dataclasses.fields(record)]
+    problems = []
+    for key, cell in cells.items():
+        absent = names if cell is None else [n for n in names
+                                             if n not in cell]
+        if absent:
+            problems.append(f"{key}: missing {', '.join(absent)}")
+    return problems
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--in", dest="in_path", default=TIMELINE_ARTIFACT,
@@ -379,12 +392,15 @@ def main(argv: list[str] | None = None) -> int:
         pass                            # the SLO pane is optional
 
     if args.validate:
-        try:
-            validate_timeline_payload(payload)
-            if slo_payload is not None:
-                validate_slo_payload(slo_payload, complete=False)
-        except ValueError as error:
-            print(f"schema violations: {error}")
+        stacks = payload.get("stacks", {})
+        problems = schema_problems(
+            {stack: stacks.get(stack) for stack in STACKS}, TimelineResult)
+        if slo_payload is not None:
+            problems += schema_problems(
+                {f"{cell.get('section')}/{cell.get('label')}": cell
+                 for cell in slo_payload.get("cells", [])}, SloCell)
+        if problems:
+            print(f"schema violations: {'; '.join(problems)}")
             return 1
         print("schema check: OK")
 

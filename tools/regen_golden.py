@@ -16,6 +16,11 @@ against these pins, so regenerate (``make regen-golden``) whenever an
 intentional behaviour change shifts the numbers — and eyeball the git
 diff to confirm the shift is the one you meant to make.
 
+Both modes first evaluate the paper's claims (:mod:`repro.exp.claims`)
+on what they just computed: if a claim fails, nothing is written, the
+failing claim ids are printed and the exit status is 1.  A golden that
+breaks a paper claim cannot be re-pinned by accident.
+
 Usage::
 
     python tools/regen_golden.py            # all of e1..e18
@@ -38,14 +43,15 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO / "perfbench"))
 
-from repro.exp.golden import HASHED_EXPERIMENTS, golden_digest  # noqa: E402
+from repro.exp.claims import failures  # noqa: E402
+from repro.exp.golden import (GOLDEN_EXPERIMENTS,  # noqa: E402
+                              HASHED_EXPERIMENTS, golden_digest)
 from repro.exp.jobs import run_experiments  # noqa: E402
 from repro.experiments.e24_tenancy import TENANCY_ARTIFACT  # noqa: E402
 from repro.experiments.e25_slo import SLO_ARTIFACT  # noqa: E402
 from scenarios import WORKLOADS as PERFBENCH_WORKLOADS  # noqa: E402
 
 GOLDEN_DIR = REPO / "tests" / "golden"
-GOLDEN_EXPERIMENTS = tuple(f"e{i}" for i in range(1, 19))
 #: smoke-sized runs pinned by the digest of the artifact they write:
 #: pin name -> (experiment, artifact path)
 SMOKE_RUNS = {
@@ -64,6 +70,16 @@ def perfbench_pin(workload: str, seed: int) -> str:
     return name if seed == PERFBENCH_SEEDS[0] else f"{name}.seed{seed}"
 
 
+def refuse_broken_claims(values: dict) -> bool:
+    """Print the ids of the claims ``values`` break; True if any."""
+    broken = failures(json.loads(json.dumps(values)))
+    for claim_id in broken:
+        print(f"claim fails: {claim_id}", file=sys.stderr)
+    if broken:
+        print("paper claims broken; nothing written", file=sys.stderr)
+    return bool(broken)
+
+
 def regenerate(names: list[str]) -> int:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     tables = io.StringIO()
@@ -73,6 +89,8 @@ def regenerate(names: list[str]) -> int:
     if outcome.failed:
         sys.stdout.write(tables.getvalue())
         print("experiment failures; goldens NOT written", file=sys.stderr)
+        return 1
+    if refuse_broken_claims(outcome.values):
         return 1
     for name in names:
         path = GOLDEN_DIR / f"{name}.json"
@@ -106,6 +124,8 @@ def regenerate_hashes() -> int:
     if outcome.failed or smoke.failed:
         sys.stdout.write(tables.getvalue())
         print("experiment failures; hashes NOT written", file=sys.stderr)
+        return 1
+    if refuse_broken_claims({**outcome.values, **smoke.values}):
         return 1
     pins = {
         name: golden_digest(
