@@ -10,17 +10,20 @@ prints the latency/efficiency comparison.
 Run:  python examples/microservice_mesh.py
 """
 
-from repro.experiments.dynamic_mix import run_dynamic_mix
+from repro.experiments.dynamic_mix import (
+    MIX_STACKS,
+    measure_mix_point,
+    render_dynamic_mix,
+)
 
 
 def main() -> None:
-    results = run_dynamic_mix(
-        service_counts=(8,),
-        n_serving=4,
-        rate_per_sec=50_000,
-        n_requests=200,
-        verbose=True,
-    )
+    results = [
+        measure_mix_point(stack, n_services=8, n_serving=4,
+                          rate_per_sec=50_000, n_requests=200)
+        for stack in MIX_STACKS
+    ]
+    render_dynamic_mix(results, n_serving=4, rate_per_sec=50_000)
     lauberhorn = next(r for r in results if r.stack == "lauberhorn")
     bypass = next(r for r in results if r.stack == "bypass")
     print()

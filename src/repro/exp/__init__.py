@@ -3,9 +3,9 @@
 ``repro.experiments.run_all`` is a thin CLI over this package:
 
 * :mod:`repro.exp.jobs`  — every experiment decomposed into pure,
-  independently schedulable *jobs* (one per sweep point where the
-  experiment is a sweep), plus the orchestrator that runs a selection
-  and reassembles the paper-shaped tables;
+  independently schedulable *jobs* (one per point of its ``GRID``),
+  plus the orchestrator that runs a selection and hands the values to
+  each grid's ``assemble``, which prints the paper-shaped tables;
 * :mod:`repro.exp.pool`  — the ``multiprocessing`` fan-out with
   deterministic per-job seeding, crash isolation, and per-job timing;
 * :mod:`repro.exp.cache` — the content-addressed result cache under

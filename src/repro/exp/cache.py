@@ -31,7 +31,7 @@ invalidates exactly the jobs that import it; editing the runner itself
 
 Entries are JSON files under ``.repro-cache/<experiment>/<key>.json``
 (override the root with ``REPRO_CACHE_DIR``), carrying the job's
-JSON-able value, captured stdout, and timings.  Writes are atomic
+JSON-able value and timings.  Writes are atomic
 (tmp + rename) and only the parent process writes, so concurrent
 readers never observe torn entries.
 """
@@ -54,7 +54,7 @@ from .pool import JobResult, JobSpec
 
 __all__ = ["ResultCache", "code_fingerprint", "module_closure"]
 
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 _DEFAULT_ROOT = ".repro-cache"
 
 # Per-process memos: module -> (path, direct repro imports), path -> sha.
@@ -219,7 +219,6 @@ class ResultCache:
             experiment=spec.experiment,
             ok=True,
             value=payload["value"],
-            stdout=payload.get("stdout", ""),
             wall_s=payload.get("wall_s", 0.0),
             cpu_s=payload.get("cpu_s", 0.0),
             cached=True,
@@ -236,7 +235,6 @@ class ResultCache:
             "params": {name: value for name, value in spec.params},
             "seed": spec.seed,
             "value": result.value,
-            "stdout": result.stdout,
             "wall_s": result.wall_s,
             "cpu_s": result.cpu_s,
             "created_unix": time.time(),

@@ -7,23 +7,21 @@ parameters and seed — so they can run in any order on any worker and
 produce bit-identical results.
 
 Workers return a structured :class:`JobResult` even when the job
-raises: a crash in one sweep point must not kill the other 17
-experiments.  Captured stdout rides along so monolithic experiments
-(which print their own tables) replay byte-for-byte from cache or from
-a worker.
+raises: a crash in one grid point must not kill the other 24
+experiments.  A job returns a value and prints nothing; its grid's
+``assemble`` prints the tables from the values, so a value served from
+a worker or from the cache renders byte for byte like a fresh one.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import io
 import multiprocessing
 import os
 import re
-import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import import_module
 from typing import Any, Callable, Iterable, Optional
 
@@ -96,9 +94,6 @@ class JobSpec:
     #: the seed baked into ``params`` (None when the callable's own
     #: deterministic defaults apply); recorded in the cache key.
     seed: Optional[int] = None
-    #: monolithic experiment bodies print their own tables; point
-    #: functions are silent and the parent renders.
-    capture: bool = True
 
     @property
     def kwargs(self) -> dict[str, Any]:
@@ -106,77 +101,48 @@ class JobSpec:
 
     @staticmethod
     def make(job_id: str, experiment: str, fn: str,
-             seed: Optional[int] = None, capture: bool = True,
-             **params: Any) -> "JobSpec":
+             seed: Optional[int] = None, **params: Any) -> "JobSpec":
         return JobSpec(
             job_id=job_id,
             experiment=experiment,
             fn=fn,
             params=tuple(sorted(params.items())),
             seed=seed,
-            capture=capture,
         )
 
 
 @dataclass
 class JobResult:
-    """Outcome of one job: value (JSON-able), stdout, timing, status."""
+    """Outcome of one job: value (JSON-able), timing, status."""
 
     job_id: str
     experiment: str
     ok: bool
     value: Any = None
-    stdout: str = ""
     error: str = ""
     wall_s: float = 0.0
     cpu_s: float = 0.0
     cached: bool = False
 
 
-class _Tee(io.TextIOBase):
-    """Capture writes while passing them through to the real stream."""
-
-    def __init__(self, through):
-        self._through = through
-        self._buffer = io.StringIO()
-
-    def write(self, text):
-        self._through.write(text)
-        self._buffer.write(text)
-        return len(text)
-
-    def flush(self):
-        self._through.flush()
-
-    def getvalue(self) -> str:
-        return self._buffer.getvalue()
-
-
-def execute_job(spec: JobSpec, tee: bool = False) -> JobResult:
+def execute_job(spec: JobSpec) -> JobResult:
     """Run one job in this process; never raises.
 
-    Stdout emitted by the job body is captured (and, with ``tee``,
-    still streamed live).  Exceptions become structured failures with
-    the traceback in ``error``.
+    Exceptions become structured failures with the traceback in
+    ``error``.
     """
-    sink = _Tee(sys.stdout) if tee else io.StringIO()
-    real_stdout = sys.stdout
     wall0 = time.perf_counter()
     cpu0 = time.process_time()
     try:
-        sys.stdout = sink
         value = resolve(spec.fn)(**spec.kwargs)
         ok, payload, error = True, jsonable(value), ""
     except Exception:
         ok, payload, error = False, None, traceback.format_exc()
-    finally:
-        sys.stdout = real_stdout
     return JobResult(
         job_id=spec.job_id,
         experiment=spec.experiment,
         ok=ok,
         value=payload,
-        stdout=sink.getvalue(),
         error=error,
         wall_s=time.perf_counter() - wall0,
         cpu_s=time.process_time() - cpu0,
@@ -187,15 +153,14 @@ def run_jobs(
     specs: Iterable[JobSpec],
     jobs: int = 1,
     cache=None,
-    tee: bool = False,
 ) -> dict[str, JobResult]:
     """Run jobs (cache-aware), return results keyed by ``job_id``.
 
     Cache hits are resolved in the parent; only misses reach the pool.
-    With ``jobs <= 1`` everything runs in-process (``tee`` then streams
-    monolithic job output live).  Results come back in spec order
-    regardless of completion order, and the parent — never a worker —
-    writes cache entries, so ``.repro-cache/`` sees a single writer.
+    With ``jobs <= 1`` everything runs in-process.  Results come back in
+    spec order regardless of completion order, and the parent — never a
+    worker — writes cache entries, so ``.repro-cache/`` sees a single
+    writer.
     """
     specs = list(specs)
     results: dict[str, JobResult] = {}
@@ -208,8 +173,7 @@ def run_jobs(
             misses.append(spec)
     if misses:
         if jobs <= 1 or len(misses) == 1:
-            fresh = [execute_job(spec, tee=tee and spec.capture)
-                     for spec in misses]
+            fresh = [execute_job(spec) for spec in misses]
         else:
             with multiprocessing.Pool(processes=min(jobs, len(misses))) as pool:
                 fresh = pool.map(execute_job, misses, chunksize=1)

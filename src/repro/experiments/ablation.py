@@ -19,6 +19,7 @@ from ..nic.lauberhorn import EndpointKind
 from ..os.nicsched import lauberhorn_user_loop
 from ..sim.clock import MS
 from ..workloads.distributions import args_for_payload
+from .grid import Grid, printed
 from .report import fmt_ns, print_table
 from .testbed import (
     build_lauberhorn_testbed,
@@ -26,7 +27,12 @@ from .testbed import (
     deploy_service,
 )
 
-__all__ = ["AblationRow", "run_deserialize_ablation", "run_crypto_ablation"]
+__all__ = ["GRID", "AblationRow", "render_crypto_ablation",
+           "render_deserialize_ablation", "run_deserialize_ablation",
+           "run_crypto_ablation"]
+
+DESERIALIZE_BYTES = 512
+CRYPTO_BYTES = 1024
 
 
 @dataclass(frozen=True)
@@ -104,35 +110,47 @@ def _drive(bed, service, method, payload_bytes, n, config) -> AblationRow:
     )
 
 
-def run_deserialize_ablation(payload_bytes: int = 512, verbose: bool = True):
+def run_deserialize_ablation(payload_bytes: int = DESERIALIZE_BYTES):
     """NIC deserialisation offload: on vs off, on the hot path."""
-    rows = [
+    return [
         _measure_lauberhorn(payload_bytes, software_unmarshal=False),
         _measure_lauberhorn(payload_bytes, software_unmarshal=True),
     ]
-    if verbose:
-        print_table(
-            ["configuration", "p50 RTT", "busy/req"],
-            [(r.config, fmt_ns(r.p50_rtt_ns), fmt_ns(r.busy_ns_per_request))
-             for r in rows],
-            title=f"Ablation — deserialisation offload ({payload_bytes} B args)",
-        )
-    return rows
 
 
-def run_crypto_ablation(payload_bytes: int = 1024, verbose: bool = True):
+def run_crypto_ablation(payload_bytes: int = CRYPTO_BYTES):
     """AEAD on the NIC (Lauberhorn) vs on the host (Linux)."""
-    rows = [
+    return [
         _measure_lauberhorn(payload_bytes, False, encrypted=False),
         _measure_lauberhorn(payload_bytes, False, encrypted=True),
         _measure_linux(payload_bytes, encrypted=False),
         _measure_linux(payload_bytes, encrypted=True),
     ]
-    if verbose:
-        print_table(
-            ["configuration", "p50 RTT", "busy/req"],
-            [(r.config, fmt_ns(r.p50_rtt_ns), fmt_ns(r.busy_ns_per_request))
-             for r in rows],
-            title=f"Ablation — encryption placement ({payload_bytes} B args)",
-        )
-    return rows
+
+
+def _render(rows: list[AblationRow], ablation: str,
+            payload_bytes: int) -> None:
+    print_table(
+        ["configuration", "p50 RTT", "busy/req"],
+        [(r.config, fmt_ns(r.p50_rtt_ns), fmt_ns(r.busy_ns_per_request))
+         for r in rows],
+        title=f"Ablation — {ablation} ({payload_bytes} B args)",
+    )
+
+
+def render_deserialize_ablation(rows: list[AblationRow]) -> None:
+    _render(rows, "deserialisation offload", DESERIALIZE_BYTES)
+
+
+def render_crypto_ablation(rows: list[AblationRow]) -> None:
+    _render(rows, "encryption placement", CRYPTO_BYTES)
+
+
+GRID = Grid(
+    name="e12",
+    title="Ablations — deserialisation offload & crypto placement",
+    points=(("deserialize", "ablation:run_deserialize_ablation", {}),
+            ("crypto", "ablation:run_crypto_ablation", {})),
+    assemble=printed((AblationRow, render_deserialize_ablation),
+                     (AblationRow, render_crypto_ablation)),
+)

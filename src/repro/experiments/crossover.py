@@ -25,7 +25,7 @@ from .report import fmt_ns, print_table
 from .testbed import build_lauberhorn_testbed, deploy_service
 
 __all__ = ["GRID", "CrossoverPoint", "assemble_crossover", "render_crossover",
-           "run_crossover", "measure_rtt_for_size"]
+           "measure_rtt_for_size"]
 
 DEFAULT_SIZES = (64, 128, 256, 512, 1024, 2048, 4096, 6144, 8192, 16384)
 
@@ -92,9 +92,7 @@ def assemble_crossover(
 
 
 def render_crossover(
-    points: list[CrossoverPoint],
-    crossover: Optional[int],
-    machine_name: str = ENZIAN.name,
+    points: list[CrossoverPoint], crossover: Optional[int]
 ) -> None:
     sizes = [p.payload_bytes for p in points]
     print_table(
@@ -104,27 +102,11 @@ def render_crossover(
              fmt_ns(p.dma_rtt_ns), "DMA" if p.dma_wins else "lines")
             for p in points
         ],
-        title=f"Section 6 — delivery-mechanism crossover on {machine_name}",
+        title=f"Section 6 — delivery-mechanism crossover on {ENZIAN.name}",
     )
     print(f"\ncrossover: DMA first wins at "
           f"{crossover if crossover else '>' + str(sizes[-1])} B "
           f"(paper: ~4 KiB on Enzian)")
-
-
-def run_crossover(
-    sizes=DEFAULT_SIZES,
-    params: MachineParams = ENZIAN,
-    verbose: bool = True,
-) -> tuple[list[CrossoverPoint], Optional[int]]:
-    """Sweep sizes; return (points, crossover_size_or_None)."""
-    points, crossover = assemble_crossover(
-        sizes,
-        [measure_rtt_for_size(s, force_dma=False, params=params) for s in sizes],
-        [measure_rtt_for_size(s, force_dma=True, params=params) for s in sizes],
-    )
-    if verbose:
-        render_crossover(points, crossover, machine_name=params.name)
-    return points, crossover
 
 
 def _assemble(values: list, smoke: bool):

@@ -43,8 +43,7 @@ from .testbed import (
     build_linux_testbed,
 )
 
-__all__ = ["GRID", "MixResult", "measure_mix_point", "render_dynamic_mix",
-           "run_dynamic_mix"]
+__all__ = ["GRID", "MixResult", "measure_mix_point", "render_dynamic_mix"]
 
 HANDLER_COST = 1000
 BASE_PORT = 9000
@@ -197,26 +196,6 @@ def render_dynamic_mix(
               f"{n_serving} serving cores (open loop, "
               f"{rate_per_sec:.0f}/s)",
     )
-
-
-def run_dynamic_mix(
-    service_counts=SERVICE_COUNTS,
-    n_serving: int = 4,
-    rate_per_sec: float = 50_000,
-    n_requests: int = 300,
-    rotation_ns: float = 2 * MS,
-    seed: int = 0,
-    verbose: bool = True,
-) -> list[MixResult]:
-    results = [
-        measure_mix_point(stack, n_services, n_serving, rate_per_sec,
-                          n_requests, rotation_ns, seed)
-        for n_services in service_counts
-        for stack in MIX_STACKS
-    ]
-    if verbose:
-        render_dynamic_mix(results, n_serving, rate_per_sec)
-    return results
 
 
 GRID = Grid(

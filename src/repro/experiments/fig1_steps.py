@@ -15,14 +15,14 @@ packet into a function invocation, and argues that Lauberhorn executes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..hw.params import ENZIAN, OsCostParams
-from ..metrics.cycles import CycleWindow
+from ..metrics.cycles import CycleWindow, PerRequestCost
 from ..os.nicsched import USER_LOOP_SW_INSTRUCTIONS
 from ..rpc.marshal import software_unmarshal_instructions
 from ..rpc.server import RPC_HEADER_DECODE_INSTRUCTIONS, USER_PARSE_INSTRUCTIONS
 from ..sim.clock import MS
+from .grid import Grid
 from .report import print_table
 from .testbed import (
     build_bypass_testbed,
@@ -31,7 +31,8 @@ from .testbed import (
     deploy_service,
 )
 
-__all__ = ["StepRow", "step_table", "run_fig1_steps", "measure_per_request_busy"]
+__all__ = ["GRID", "StepRow", "step_table", "run_fig1_steps",
+           "render_fig1_steps", "measure_per_request_busy"]
 
 
 @dataclass(frozen=True)
@@ -148,25 +149,42 @@ def measure_per_request_busy(n_requests: int = 30, handler_cost: int = 300):
     return results
 
 
-def run_fig1_steps(verbose: bool = True, n_requests: int = 30):
+def run_fig1_steps(n_requests: int = 30):
     """Regenerate the step table plus measured per-request software cost."""
-    rows = step_table()
-    measured = measure_per_request_busy(n_requests=n_requests)
-    if verbose:
-        print_table(
-            ["#", "step", "Linux/DMA NIC", "kernel bypass", "Lauberhorn"],
-            [(r.number, r.description, r.linux, r.bypass, r.lauberhorn)
-             for r in rows],
-            title="Section 2 — receive-path steps by stack",
-        )
-        print_table(
-            ["stack", "busy ns/req", "instructions/req"],
-            [
-                (name, f"{cost.busy_ns_per_request:.0f}",
-                 f"{cost.instructions_per_request:.0f}")
-                for name, cost in measured.items()
-            ],
-            title="Measured per-request server CPU cost (small RPC, "
-                  "handler excluded from comparison is identical)",
-        )
+    return step_table(), measure_per_request_busy(n_requests=n_requests)
+
+
+def render_fig1_steps(rows: list[StepRow],
+                      measured: dict[str, PerRequestCost]) -> None:
+    print_table(
+        ["#", "step", "Linux/DMA NIC", "kernel bypass", "Lauberhorn"],
+        [(r.number, r.description, r.linux, r.bypass, r.lauberhorn)
+         for r in rows],
+        title="Section 2 — receive-path steps by stack",
+    )
+    print_table(
+        ["stack", "busy ns/req", "instructions/req"],
+        [
+            (name, f"{cost.busy_ns_per_request:.0f}",
+             f"{cost.instructions_per_request:.0f}")
+            for name, cost in measured.items()
+        ],
+        title="Measured per-request server CPU cost (small RPC, "
+              "handler excluded from comparison is identical)",
+    )
+
+
+def _assemble(values: list, smoke: bool):
+    rows, measured = values[0]
+    rows = [StepRow(**row) for row in rows]
+    measured = {stack: PerRequestCost(**cost)
+                for stack, cost in measured.items()}
+    render_fig1_steps(rows, measured)
     return rows, measured
+
+
+GRID = Grid(
+    name="e2", title="Section 2 — receive-path steps",
+    points=(("main", "fig1_steps:run_fig1_steps", {}),),
+    assemble=_assemble,
+)

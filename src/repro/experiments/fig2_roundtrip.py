@@ -33,10 +33,11 @@ from ..hw.params import (
     MachineParams,
 )
 from ..sim.engine import Event
+from .grid import Grid, printed
 from .report import fmt_ns, print_table
 
-__all__ = ["RoundTripResult", "run_fig2", "coherent_roundtrip_ns",
-           "dma_roundtrip_ns"]
+__all__ = ["GRID", "RoundTripResult", "run_fig2", "render_fig2",
+           "coherent_roundtrip_ns", "dma_roundtrip_ns"]
 
 MESSAGE_BYTES = 64
 
@@ -151,9 +152,9 @@ def dma_roundtrip_ns(params: MachineParams, n: int = 8) -> float:
     return sum(samples) / len(samples)
 
 
-def run_fig2(verbose: bool = True) -> list[RoundTripResult]:
+def run_fig2() -> list[RoundTripResult]:
     """Regenerate Figure 2's bars (plus the CXL 3.0 projection)."""
-    results = [
+    return [
         RoundTripResult(
             "Enzian / ECI (coherent)", "coherent",
             coherent_roundtrip_ns(ENZIAN),
@@ -171,10 +172,18 @@ def run_fig2(verbose: bool = True) -> list[RoundTripResult]:
             coherent_roundtrip_ns(MODERN_SERVER_CXL),
         ),
     ]
-    if verbose:
-        print_table(
-            ["configuration", "mechanism", "64 B round trip"],
-            [(r.label, r.mechanism, fmt_ns(r.round_trip_ns)) for r in results],
-            title="Figure 2 — 64-byte message round-trip latencies",
-        )
-    return results
+
+
+def render_fig2(results: list[RoundTripResult]) -> None:
+    print_table(
+        ["configuration", "mechanism", "64 B round trip"],
+        [(r.label, r.mechanism, fmt_ns(r.round_trip_ns)) for r in results],
+        title="Figure 2 — 64-byte message round-trip latencies",
+    )
+
+
+GRID = Grid(
+    name="e1", title="Figure 2 — 64 B round-trip latencies",
+    points=(("main", "fig2_roundtrip:run_fig2", {}),),
+    assemble=printed((RoundTripResult, render_fig2)),
+)

@@ -27,6 +27,7 @@ from ..metrics.histogram import LatencyRecorder
 from ..nic.lauberhorn import EndpointKind
 from ..os.nicsched import NicScheduler
 from ..sim.clock import MS
+from .grid import Grid, printed
 from .report import fmt_ns, print_table
 from .testbed import (
     build_lauberhorn_testbed,
@@ -34,9 +35,11 @@ from .testbed import (
     deploy_service,
 )
 
-__all__ = ["DispatchResult", "run_fig5_dispatch"]
+__all__ = ["GRID", "DispatchResult", "render_fig5_dispatch",
+           "run_fig5_dispatch"]
 
 HANDLER_COST = 300
+N_REQUESTS = 25
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,7 @@ def _measure(bed, service, method, n_requests: int):
     return summary, state["cost"]
 
 
-def run_fig5_dispatch(n_requests: int = 25, verbose: bool = True):
+def run_fig5_dispatch(n_requests: int = N_REQUESTS):
     results: list[DispatchResult] = []
 
     # Linux dispatch loop.
@@ -118,17 +121,26 @@ def run_fig5_dispatch(n_requests: int = 25, verbose: bool = True):
             bed.nic.lstats.delivered_kernel, bed.nic.lstats.delivered_fast,
         ))
 
-    if verbose:
-        print_table(
-            ["configuration", "p50 RTT", "p99 RTT", "busy/req",
-             "kernel-dispatched", "fast-dispatched"],
-            [
-                (r.config, fmt_ns(r.p50_rtt_ns), fmt_ns(r.p99_rtt_ns),
-                 fmt_ns(r.busy_ns_per_request), r.kernel_dispatches,
-                 r.fast_dispatches)
-                for r in results
-            ],
-            title="Figure 5 — dispatch-loop comparison "
-                  f"(echo RPC, {n_requests} requests)",
-        )
     return results
+
+
+def render_fig5_dispatch(results: list[DispatchResult]) -> None:
+    print_table(
+        ["configuration", "p50 RTT", "p99 RTT", "busy/req",
+         "kernel-dispatched", "fast-dispatched"],
+        [
+            (r.config, fmt_ns(r.p50_rtt_ns), fmt_ns(r.p99_rtt_ns),
+             fmt_ns(r.busy_ns_per_request), r.kernel_dispatches,
+             r.fast_dispatches)
+            for r in results
+        ],
+        title="Figure 5 — dispatch-loop comparison "
+              f"(echo RPC, {N_REQUESTS} requests)",
+    )
+
+
+GRID = Grid(
+    name="e3", title="Figure 5 — dispatch comparison",
+    points=(("main", "fig5_dispatch:run_fig5_dispatch", {}),),
+    assemble=printed((DispatchResult, render_fig5_dispatch)),
+)

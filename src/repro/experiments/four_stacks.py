@@ -31,7 +31,7 @@ from .testbed import (
 )
 
 __all__ = ["GRID", "StackResult", "STACKS", "measure_stack",
-           "render_four_stacks", "run_four_stacks"]
+           "render_four_stacks"]
 
 HANDLER_COST = 500
 
@@ -105,13 +105,6 @@ def render_four_stacks(results: list[StackResult]) -> None:
           fmt_ns(r.busy_ns_per_request)) for r in results],
         title="Section 2's design space — four stacks, one workload",
     )
-
-
-def run_four_stacks(n_requests: int = 25, verbose: bool = True) -> list[StackResult]:
-    results = [measure_stack(stack, n_requests) for stack in STACKS]
-    if verbose:
-        render_four_stacks(results)
-    return results
 
 
 GRID = Grid(

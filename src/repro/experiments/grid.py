@@ -1,8 +1,9 @@
-"""The one declaration a sweep experiment makes: its ``GRID``.
+"""The one declaration an experiment makes: its ``GRID``.
 
 :mod:`repro.exp.jobs` derives every job spec, per-point seed, smoke run
-and assembly from a sweep module's ``GRID``, so a new cell is one new
-point.  This module imports nothing from :mod:`repro.exp` or another
+and assembly from an experiment module's ``GRID``, so a new cell is one
+new point.  Points return values and print nothing; only ``assemble``
+prints.  This module imports nothing from :mod:`repro.exp` or another
 experiment: ``repro.exp`` imports every experiment module, so an
 experiment importing it would meet a half-initialised package, and the
 result cache (which fingerprints a job by its module's import closure)
@@ -18,12 +19,13 @@ from typing import Any, Callable, Optional
 
 from ..faults.context import active_plan
 
-__all__ = ["Grid", "artifact_path", "rendered", "write_json_artifact"]
+__all__ = ["Grid", "artifact_path", "printed", "rendered",
+           "write_json_artifact"]
 
 
 @dataclass(frozen=True)
 class Grid:
-    """One sweep experiment: its points and how to reassemble them."""
+    """One experiment: its points and how to reassemble them."""
 
     name: str
     title: str
@@ -49,6 +51,25 @@ def rendered(record: type, render: Callable[[list], None]
         records = [record(**value) for value in values]
         render(records)
         return records
+
+    return assemble
+
+
+def printed(*parts: tuple[type, Callable[[Any], None]]
+            ) -> Callable[[list, bool], Any]:
+    """The ``assemble`` of an experiment whose points are its printed
+    parts, one ``(record, render)`` per point: rebuild each point's
+    record (or list of records), print it, and return the lone part or
+    the parts in point order."""
+
+    def assemble(values: list, smoke: bool) -> Any:
+        results = []
+        for (record, render), value in zip(parts, values):
+            result = ([record(**item) for item in value]
+                      if isinstance(value, list) else record(**value))
+            render(result)
+            results.append(result)
+        return results[0] if len(results) == 1 else results
 
     return assemble
 

@@ -25,9 +25,10 @@ from dataclasses import dataclass
 from ..hw.iommu import PAGE_BYTES, Iommu, IommuParams
 from ..hw.machine import Machine
 from ..hw.params import ENZIAN_PCIE
+from .grid import Grid, printed
 from .report import fmt_ns, print_table
 
-__all__ = ["IommuTaxResult", "run_iommu_tax"]
+__all__ = ["GRID", "IommuTaxResult", "render_iommu_tax", "run_iommu_tax"]
 
 MESSAGE_BYTES = 64
 BUFFER_BASE = 0x8000_0000
@@ -84,7 +85,7 @@ def _dma_rtt(
     return rtt, hit_rate
 
 
-def run_iommu_tax(verbose: bool = True) -> list[IommuTaxResult]:
+def run_iommu_tax() -> list[IommuTaxResult]:
     configs = [
         ("trusted NIC (no IOMMU)",
          _dma_rtt(iommu_enabled=False, pool_pages=1024, strict=False)),
@@ -95,20 +96,28 @@ def run_iommu_tax(verbose: bool = True) -> list[IommuTaxResult]:
         ("IOMMU, thrashing + strict unmap",
          _dma_rtt(iommu_enabled=True, pool_pages=1024, strict=True)),
     ]
-    results = [
+    return [
         IommuTaxResult(config=name, rtt_ns=rtt, iotlb_hit_rate=hit)
         for name, (rtt, hit) in configs
     ]
-    if verbose:
-        print_table(
-            ["configuration", "64 B DMA RTT", "IOTLB hit rate"],
-            [(r.config, fmt_ns(r.rtt_ns), f"{r.iotlb_hit_rate:.2f}")
-             for r in results],
-            title="Section 3 — the IOMMU tax on an untrusted NIC",
-        )
-        base = results[0].rtt_ns
-        worst = results[-1].rtt_ns
-        print(f"\nnot trusting the NIC costs up to "
-              f"{(worst - base) / base * 100:.0f}% per small DMA here; "
-              "the trusted, coherent Lauberhorn path pays none of it.")
-    return results
+
+
+def render_iommu_tax(results: list[IommuTaxResult]) -> None:
+    print_table(
+        ["configuration", "64 B DMA RTT", "IOTLB hit rate"],
+        [(r.config, fmt_ns(r.rtt_ns), f"{r.iotlb_hit_rate:.2f}")
+         for r in results],
+        title="Section 3 — the IOMMU tax on an untrusted NIC",
+    )
+    base = results[0].rtt_ns
+    worst = results[-1].rtt_ns
+    print(f"\nnot trusting the NIC costs up to "
+          f"{(worst - base) / base * 100:.0f}% per small DMA here; "
+          "the trusted, coherent Lauberhorn path pays none of it.")
+
+
+GRID = Grid(
+    name="e16", title="Section 3 — the IOMMU tax",
+    points=(("main", "iommu_tax:run_iommu_tax", {}),),
+    assemble=printed((IommuTaxResult, render_iommu_tax)),
+)

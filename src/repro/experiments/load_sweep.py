@@ -21,8 +21,7 @@ from .testbed import (
     deploy_service,
 )
 
-__all__ = ["GRID", "LoadPoint", "measure_load_point", "render_load_sweep",
-           "run_load_sweep"]
+__all__ = ["GRID", "LoadPoint", "measure_load_point", "render_load_sweep"]
 
 HANDLER_COST = 500
 SWEEP_RATES = (50e3, 150e3, 300e3, 600e3)
@@ -85,22 +84,6 @@ def render_load_sweep(points: list[LoadPoint]) -> None:
           fmt_ns(p.p99_ns)) for p in points],
         title="Latency vs offered load (one serving core)",
     )
-
-
-def run_load_sweep(
-    rates=SWEEP_RATES,
-    n_requests: int = 250,
-    stacks=SWEEP_STACKS,
-    verbose: bool = True,
-) -> list[LoadPoint]:
-    points = [
-        measure_load_point(stack, rate, n_requests)
-        for stack in stacks
-        for rate in rates
-    ]
-    if verbose:
-        render_load_sweep(points)
-    return points
 
 
 GRID = Grid(

@@ -17,9 +17,10 @@ from ..mc import (
     OwnershipSpec,
     ProtocolConfig,
 )
+from .grid import Grid, printed
 from .report import print_table
 
-__all__ = ["CheckRow", "run_model_check"]
+__all__ = ["GRID", "CheckRow", "render_model_check", "run_model_check"]
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,7 @@ class CheckRow:
     violated: str
 
 
-def run_model_check(verbose: bool = True) -> list[CheckRow]:
+def run_model_check() -> list[CheckRow]:
     configs = [
         ("correct n=2", ProtocolConfig(total_packets=2)),
         ("correct n=3", ProtocolConfig(total_packets=3)),
@@ -68,15 +69,24 @@ def run_model_check(verbose: bool = True) -> list[CheckRow]:
             depth=result.max_depth,
             violated=(result.violation.name if result.violation else "-"),
         ))
-    if verbose:
-        print_table(
-            ["configuration", "result", "states", "transitions", "depth",
-             "violated invariant"],
-            [
-                (r.config, "OK" if r.ok else "FAIL", r.states, r.transitions,
-                 r.depth, r.violated)
-                for r in rows
-            ],
-            title="Section 6 — model checking the Figure 4 protocol",
-        )
     return rows
+
+
+def render_model_check(rows: list[CheckRow]) -> None:
+    print_table(
+        ["configuration", "result", "states", "transitions", "depth",
+         "violated invariant"],
+        [
+            (r.config, "OK" if r.ok else "FAIL", r.states, r.transitions,
+             r.depth, r.violated)
+            for r in rows
+        ],
+        title="Section 6 — model checking the Figure 4 protocol",
+    )
+
+
+GRID = Grid(
+    name="e7", title="Section 6 — model checking",
+    points=(("main", "model_check:run_model_check", {}),),
+    assemble=printed((CheckRow, render_model_check)),
+)

@@ -35,10 +35,11 @@ from ..rpc.marshal import marshal_args, unmarshal_args
 from ..rpc.message import RpcMessage, RpcType
 from ..rpc.server import linux_udp_worker
 from ..sim.clock import MS
+from .grid import Grid, printed
 from .report import fmt_ns, print_table
 from .testbed import build_lauberhorn_testbed, build_linux_testbed
 
-__all__ = ["NestedResult", "run_nested_rpc"]
+__all__ = ["GRID", "NestedResult", "render_nested_rpc", "run_nested_rpc"]
 
 A_PORT, B_PORT = 9000, 9001
 HANDLER_COST = 300
@@ -127,7 +128,7 @@ def _measure(bed, service, method, n: int) -> LatencyRecorder:
     return recorder
 
 
-def run_nested_rpc(n_requests: int = 15, verbose: bool = True) -> list[NestedResult]:
+def run_nested_rpc(n_requests: int = 15) -> list[NestedResult]:
     results = []
 
     # Lauberhorn.  Hand-rolled on both stacks: the frontend calls out
@@ -181,13 +182,21 @@ def run_nested_rpc(n_requests: int = 15, verbose: bool = True) -> list[NestedRes
     )
     summary = _measure(bed, svc_a, m_a, n_requests).summary()
     results.append(NestedResult("linux", summary.p50, summary.mean))
-
-    if verbose:
-        print_table(
-            ["stack", "p50 nested RTT", "mean nested RTT"],
-            [(r.stack, fmt_ns(r.p50_rtt_ns), fmt_ns(r.mean_rtt_ns))
-             for r in results],
-            title="Section 6 — nested RPC (A -> B) with continuation "
-                  "end-points vs sockets",
-        )
     return results
+
+
+def render_nested_rpc(results: list[NestedResult]) -> None:
+    print_table(
+        ["stack", "p50 nested RTT", "mean nested RTT"],
+        [(r.stack, fmt_ns(r.p50_rtt_ns), fmt_ns(r.mean_rtt_ns))
+         for r in results],
+        title="Section 6 — nested RPC (A -> B) with continuation "
+              "end-points vs sockets",
+    )
+
+
+GRID = Grid(
+    name="e9", title="Section 6 — nested RPCs",
+    points=(("main", "nested_rpc:run_nested_rpc", {}),),
+    assemble=printed((NestedResult, render_nested_rpc)),
+)

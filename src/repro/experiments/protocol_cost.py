@@ -14,10 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..sim.clock import MS
+from .grid import Grid, printed
 from .report import print_table
 from .testbed import build_lauberhorn_testbed, deploy_service
 
-__all__ = ["ProtocolCost", "run_protocol_cost"]
+__all__ = ["GRID", "ProtocolCost", "render_protocol_cost",
+           "run_protocol_cost"]
 
 
 @dataclass(frozen=True)
@@ -30,7 +32,7 @@ class ProtocolCost:
     invalidations_per_request: float
 
 
-def run_protocol_cost(n_requests: int = 32, verbose: bool = True) -> ProtocolCost:
+def run_protocol_cost(n_requests: int = 32) -> ProtocolCost:
     bed = build_lauberhorn_testbed()
     service, method = deploy_service(bed, "lauberhorn", cost_instructions=300)
     client = bed.clients[0]
@@ -57,7 +59,7 @@ def run_protocol_cost(n_requests: int = 32, verbose: bool = True) -> ProtocolCos
     bed.machine.run(until=2000 * MS)
     before, after = state["before"], state["after"]
     deltas = [a - b for a, b in zip(after, before)]
-    cost = ProtocolCost(
+    return ProtocolCost(
         requests=n_requests,
         fills_per_request=deltas[0] / n_requests,
         recalls_per_request=deltas[1] / n_requests,
@@ -65,17 +67,25 @@ def run_protocol_cost(n_requests: int = 32, verbose: bool = True) -> ProtocolCos
         line_transfers_per_request=deltas[3] / n_requests,
         invalidations_per_request=deltas[4] / n_requests,
     )
-    if verbose:
-        print_table(
-            ["fabric transaction", "per RPC (steady state)"],
-            [
-                ("CONTROL fills (blocked loads)", f"{cost.fills_per_request:.2f}"),
-                ("fetch-exclusive recalls", f"{cost.recalls_per_request:.2f}"),
-                ("ownership upgrades (response store)",
-                 f"{cost.upgrades_per_request:.2f}"),
-                ("line transfers", f"{cost.line_transfers_per_request:.2f}"),
-                ("invalidations", f"{cost.invalidations_per_request:.2f}"),
-            ],
-            title="Figure 4 — coherence transactions per small RPC",
-        )
-    return cost
+
+
+def render_protocol_cost(cost: ProtocolCost) -> None:
+    print_table(
+        ["fabric transaction", "per RPC (steady state)"],
+        [
+            ("CONTROL fills (blocked loads)", f"{cost.fills_per_request:.2f}"),
+            ("fetch-exclusive recalls", f"{cost.recalls_per_request:.2f}"),
+            ("ownership upgrades (response store)",
+             f"{cost.upgrades_per_request:.2f}"),
+            ("line transfers", f"{cost.line_transfers_per_request:.2f}"),
+            ("invalidations", f"{cost.invalidations_per_request:.2f}"),
+        ],
+        title="Figure 4 — coherence transactions per small RPC",
+    )
+
+
+GRID = Grid(
+    name="e10", title="Figure 4 — protocol cost",
+    points=(("main", "protocol_cost:run_protocol_cost", {}),),
+    assemble=printed((ProtocolCost, render_protocol_cost)),
+)

@@ -18,7 +18,7 @@ results (dataclasses, recursively serialised) plus per-experiment wall
 clock under the ``"_timings_s"`` key.
 
 This module is a thin CLI over :mod:`repro.exp`: experiments are
-decomposed into independently schedulable jobs (one per sweep point),
+decomposed into independently schedulable jobs (one per grid point),
 fanned out over ``--jobs N`` processes (default ``$REPRO_JOBS`` or 1),
 and memoised in the content-addressed cache under ``.repro-cache/``
 (keyed by experiment, params, seed, and the code fingerprint of the
@@ -28,9 +28,9 @@ count; re-runs only execute jobs whose key changed.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
-import sys
 
 from ..exp.cache import ResultCache
 from ..faults.context import ENV_VAR
@@ -56,96 +56,75 @@ def _print_timings(outcome, cache) -> None:
               f"under {cache.root}/")
 
 
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments.run_all", allow_abbrev=False,
+        description="Run the experiments and print the paper's tables.")
+    parser.add_argument("names", nargs="*", metavar="eN",
+                        help="experiments to run (default: all)")
+    parser.add_argument("--jobs", type=int, default=default_jobs(),
+                        help="worker processes (default: $REPRO_JOBS, else 1)")
+    parser.add_argument("--no-cache", dest="use_cache", action="store_false",
+                        help="ignore and do not write .repro-cache/")
+    parser.add_argument("--timings", action="store_true",
+                        help="print a per-job wall/CPU table after the run")
+    parser.add_argument("--json", metavar="PATH",
+                        help="dump structured results + timings here")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="root seed; 0 reproduces the canonical runs")
+    parser.add_argument("--faults", nargs="?", const="default",
+                        metavar="SPEC",
+                        help="run under a fault plan (default: 'default')")
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    json_path = None
-    jobs = default_jobs()
-    root_seed = 0
-    use_cache = True
-    show_timings = False
-    fault_spec = None
-    names: list[str] = []
+    try:
+        args = _parser().parse_intermixed_args(argv)
+    except SystemExit as stop:  # a bad flag: argparse printed why
+        return stop.code
+    if args.faults is not None:
+        try:
+            FaultPlan.from_spec(args.faults)
+        except ValueError as error:
+            print(f"--faults: {error}")
+            return 2
 
-    index = 0
-    while index < len(argv):
-        arg = argv[index]
-        if arg == "--json":
-            if index + 1 >= len(argv):
-                print("--json needs a path")
-                return 2
-            json_path = argv[index + 1]
-            index += 2
-        elif arg in ("--jobs", "--seed"):
-            if index + 1 >= len(argv):
-                print(f"{arg} needs an integer")
-                return 2
-            try:
-                value = int(argv[index + 1])
-            except ValueError:
-                print(f"{arg} needs an integer")
-                return 2
-            if arg == "--jobs":
-                jobs = max(1, value)
-            else:
-                root_seed = value
-            index += 2
-        elif arg == "--no-cache":
-            use_cache = False
-            index += 1
-        elif arg == "--faults":
-            # Optional spec argument ("default,loss=0.05"); bare --faults
-            # means the default plan.
-            fault_spec = "default"
-            if index + 1 < len(argv) and "=" in argv[index + 1]:
-                fault_spec = argv[index + 1]
-                index += 1
-            try:
-                FaultPlan.from_spec(fault_spec)
-            except ValueError as error:
-                print(f"--faults: {error}")
-                return 2
-            index += 1
-        elif arg == "--timings":
-            show_timings = True
-            index += 1
-        else:
-            names.append(arg)
-            index += 1
-
-    selected = [a.lower() for a in names] or list(EXPERIMENT_SPECS)
+    selected = [a.lower() for a in args.names] or list(EXPERIMENT_SPECS)
     unknown = [name for name in selected if name not in EXPERIMENT_SPECS]
     if unknown:
         print(f"unknown experiments: {', '.join(unknown)}")
         print(f"available: {', '.join(EXPERIMENT_SPECS)}")
         return 2
 
-    cache = ResultCache() if use_cache else None
+    cache = ResultCache() if args.use_cache else None
     # The plan travels to every testbed (and pool worker) via the
     # REPRO_FAULTS env var for the length of the run, and is part of
     # the result-cache key, so fault runs cache like any other (each
     # distinct spec under its own keys).
     previous = os.environ.get(ENV_VAR)
-    if fault_spec is not None:
-        os.environ[ENV_VAR] = fault_spec
+    if args.faults is not None:
+        os.environ[ENV_VAR] = args.faults
     try:
-        outcome = run_experiments(selected, jobs=jobs, cache=cache,
-                                  root_seed=root_seed)
+        outcome = run_experiments(selected, jobs=max(1, args.jobs),
+                                  cache=cache,
+                                  root_seed=args.seed)
     finally:
         if previous is None:
             os.environ.pop(ENV_VAR, None)
         else:
             os.environ[ENV_VAR] = previous
 
-    if show_timings:
+    if args.timings:
         _print_timings(outcome, cache)
-    if json_path is not None:
+    if args.json is not None:
         payload = dict(outcome.values)
         payload["_timings_s"] = {
             name: round(wall, 6) for name, wall in outcome.timings_s.items()
         }
-        with open(json_path, "w") as handle:
+        with open(args.json, "w") as handle:
             json.dump(payload, handle, indent=2)
-        print(f"\nraw results written to {json_path}")
+        print(f"\nraw results written to {args.json}")
     return 1 if outcome.failed else 0
 
 

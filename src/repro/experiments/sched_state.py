@@ -16,10 +16,12 @@ from dataclasses import dataclass
 from ..hw.params import ENZIAN, PCIE_GEN3
 from ..os import ops
 from ..sim.clock import MS
+from .grid import Grid, printed
 from .report import fmt_ns, print_table
 from .testbed import build_lauberhorn_testbed
 
-__all__ = ["SchedPushResult", "run_sched_state"]
+__all__ = ["GRID", "SchedPushResult", "render_sched_state",
+           "run_sched_state"]
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ def _switch_storm(with_push: bool, n_switches: int = 200) -> tuple[int, float]:
     return bed.kernel.stats.context_switches, bed.machine.cores[0].counters.busy_ns
 
 
-def run_sched_state(n_switches: int = 200, verbose: bool = True) -> SchedPushResult:
+def run_sched_state(n_switches: int = 200) -> SchedPushResult:
     switches_base, busy_base = _switch_storm(False, n_switches)
     switches_push, busy_push = _switch_storm(True, n_switches)
     base_ns = busy_base / switches_base
@@ -68,7 +70,7 @@ def run_sched_state(n_switches: int = 200, verbose: bool = True) -> SchedPushRes
             200 * core.cpi
         ),
     }
-    result = SchedPushResult(
+    return SchedPushResult(
         context_switches=switches_push,
         base_switch_ns=base_ns,
         pushed_switch_ns=push_ns,
@@ -76,21 +78,29 @@ def run_sched_state(n_switches: int = 200, verbose: bool = True) -> SchedPushRes
         push_overhead_pct=100.0 * overhead / base_ns,
         alternatives=alternatives,
     )
-    if verbose:
-        print_table(
-            ["metric", "value"],
-            [
-                ("context switches measured", result.context_switches),
-                ("switch cost, no push", fmt_ns(result.base_switch_ns)),
-                ("switch cost, with push", fmt_ns(result.pushed_switch_ns)),
-                ("push overhead", fmt_ns(result.push_overhead_ns)),
-                ("push overhead %", f"{result.push_overhead_pct:.1f}%"),
-            ],
-            title="Section 5.2 — scheduling-state push cost per context switch",
-        )
-        print_table(
-            ["mechanism", "core-side cost"],
-            [(name, fmt_ns(ns)) for name, ns in alternatives.items()],
-            title="Alternative push mechanisms",
-        )
-    return result
+
+
+def render_sched_state(result: SchedPushResult) -> None:
+    print_table(
+        ["metric", "value"],
+        [
+            ("context switches measured", result.context_switches),
+            ("switch cost, no push", fmt_ns(result.base_switch_ns)),
+            ("switch cost, with push", fmt_ns(result.pushed_switch_ns)),
+            ("push overhead", fmt_ns(result.push_overhead_ns)),
+            ("push overhead %", f"{result.push_overhead_pct:.1f}%"),
+        ],
+        title="Section 5.2 — scheduling-state push cost per context switch",
+    )
+    print_table(
+        ["mechanism", "core-side cost"],
+        [(name, fmt_ns(ns)) for name, ns in result.alternatives.items()],
+        title="Alternative push mechanisms",
+    )
+
+
+GRID = Grid(
+    name="e8", title="Section 5.2 — sched-state push",
+    points=(("main", "sched_state:run_sched_state", {}),),
+    assemble=printed((SchedPushResult, render_sched_state)),
+)

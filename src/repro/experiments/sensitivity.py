@@ -28,7 +28,7 @@ from .testbed import (
 
 __all__ = ["GRID", "SensitivityPoint", "lauberhorn_rtt_at",
            "bypass_baseline_rtt", "assemble_sensitivity",
-           "render_sensitivity", "run_sensitivity"]
+           "render_sensitivity"]
 
 HANDLER_COST = 500
 #: coherent-link one-way latencies swept, in ns
@@ -126,21 +126,6 @@ def render_sensitivity(
     else:
         print(f"\nbreak-even one-way latency ≈ {fmt_ns(break_even)} "
               "(ECI is 350 ns; CXL 3.0 ~125 ns — ample headroom).")
-
-
-def run_sensitivity(
-    one_way_sweep=ONE_WAY_SWEEP,
-    verbose: bool = True,
-) -> tuple[list[SensitivityPoint], Optional[float]]:
-    bypass_rtt = bypass_baseline_rtt()
-    points, break_even = assemble_sensitivity(
-        one_way_sweep,
-        [lauberhorn_rtt_at(float(one_way)) for one_way in one_way_sweep],
-        bypass_rtt,
-    )
-    if verbose:
-        render_sensitivity(points, break_even)
-    return points, break_even
 
 
 def _assemble(values: list, smoke: bool):

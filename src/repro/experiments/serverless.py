@@ -33,10 +33,11 @@ from .report import fmt_ns, print_table
 from .testbed import build_lauberhorn_testbed, build_linux_testbed
 
 __all__ = ["GRID", "ServerlessResult", "measure_serverless_stack",
-           "render_serverless", "run_serverless"]
+           "render_serverless"]
 
 HANDLER_COST = 2000  # a small function body
 BASE_PORT = 9000
+N_SERVING = 4
 STACKS = ("linux", "lauberhorn")
 
 
@@ -85,7 +86,7 @@ def _replay(bed, targets, trace, n_serving: int):
 def measure_serverless_stack(
     stack: str,
     n_functions: int = 24,
-    n_serving: int = 4,
+    n_serving: int = N_SERVING,
     duration_ms: float = 8.0,
     rate_per_sec: float = 30_000,
     seed: int = 0,
@@ -138,27 +139,7 @@ def measure_serverless_stack(
     raise ValueError(f"unknown stack {stack!r}")
 
 
-def run_serverless(
-    n_functions: int = 24,
-    n_serving: int = 4,
-    duration_ms: float = 8.0,
-    rate_per_sec: float = 30_000,
-    seed: int = 0,
-    verbose: bool = True,
-) -> list[ServerlessResult]:
-    results = [
-        measure_serverless_stack(stack, n_functions, n_serving, duration_ms,
-                                 rate_per_sec, seed)
-        for stack in STACKS
-    ]
-    if verbose:
-        render_serverless(results, n_serving)
-    return results
-
-
-def render_serverless(
-    results: list[ServerlessResult], n_serving: int = 4
-) -> None:
+def render_serverless(results: list[ServerlessResult]) -> None:
     n_functions = results[0].n_functions if results else 0
     print_table(
         ["stack", "functions", "invocations", "p50", "p99",
@@ -170,7 +151,7 @@ def render_serverless(
             for r in results
         ],
         title=f"Serverless consolidation — {n_functions} functions, "
-              f"{n_serving} serving cores, Zipf+bursty trace",
+              f"{N_SERVING} serving cores, Zipf+bursty trace",
     )
 
 

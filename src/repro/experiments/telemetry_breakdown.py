@@ -13,10 +13,12 @@ from dataclasses import dataclass
 
 from ..os.nicsched import NicScheduler
 from ..sim.clock import MS
+from .grid import Grid
 from .report import fmt_ns, print_table
 from .testbed import build_lauberhorn_testbed, deploy_service
 
-__all__ = ["StageLatency", "TelemetryBreakdown", "run_telemetry_breakdown"]
+__all__ = ["GRID", "StageLatency", "TelemetryBreakdown",
+           "render_telemetry_breakdown", "run_telemetry_breakdown"]
 
 
 @dataclass(frozen=True)
@@ -38,8 +40,7 @@ class TelemetryBreakdown:
     completed: int
 
 
-def run_telemetry_breakdown(n_requests: int = 20,
-                            verbose: bool = True) -> TelemetryBreakdown:
+def run_telemetry_breakdown(n_requests: int = 20) -> TelemetryBreakdown:
     bed = build_lauberhorn_testbed()
 
     hot, hot_m = deploy_service(bed, "lauberhorn", name="hot")
@@ -66,7 +67,7 @@ def run_telemetry_breakdown(n_requests: int = 20,
     bed.machine.run(until=1000 * MS)
 
     telemetry = bed.nic.telemetry
-    result = TelemetryBreakdown(
+    return TelemetryBreakdown(
         services={
             service.name: {
                 stage: StageLatency(summary.p50, summary.p99)
@@ -78,14 +79,37 @@ def run_telemetry_breakdown(n_requests: int = 20,
         kernel_dispatch_fraction=telemetry.kernel_dispatch_fraction(),
         completed=len(telemetry.completed),
     )
-    if verbose:
-        for name, stages in result.services.items():
-            print_table(
-                ["stage", "p50", "p99"],
-                [(stage, fmt_ns(latency.p50_ns), fmt_ns(latency.p99_ns))
-                 for stage, latency in stages.items()],
-                title=f"NIC telemetry — service {name!r}",
-            )
-        print(f"\nkernel-dispatch fraction: "
-              f"{result.kernel_dispatch_fraction:.2f}")
+
+
+def render_telemetry_breakdown(result: TelemetryBreakdown) -> None:
+    for name, stages in result.services.items():
+        print_table(
+            ["stage", "p50", "p99"],
+            [(stage, fmt_ns(latency.p50_ns), fmt_ns(latency.p99_ns))
+             for stage, latency in stages.items()],
+            title=f"NIC telemetry — service {name!r}",
+        )
+    print(f"\nkernel-dispatch fraction: "
+          f"{result.kernel_dispatch_fraction:.2f}")
+
+
+def _assemble(values: list, smoke: bool) -> TelemetryBreakdown:
+    value = values[0]
+    result = TelemetryBreakdown(
+        services={
+            name: {stage: StageLatency(**latency)
+                   for stage, latency in stages.items()}
+            for name, stages in value["services"].items()
+        },
+        kernel_dispatch_fraction=value["kernel_dispatch_fraction"],
+        completed=value["completed"],
+    )
+    render_telemetry_breakdown(result)
     return result
+
+
+GRID = Grid(
+    name="e13", title="Section 6 — NIC telemetry breakdown",
+    points=(("main", "telemetry_breakdown:run_telemetry_breakdown", {}),),
+    assemble=_assemble,
+)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from ..sim.clock import SEC
 from ..workloads.generator import ClosedLoopGenerator, ServiceMix, Target
+from .grid import Grid, printed
 from .report import print_table
 from .testbed import (
     build_bypass_testbed,
@@ -25,9 +26,11 @@ from .testbed import (
     deploy_service,
 )
 
-__all__ = ["ThroughputResult", "run_throughput", "run_lauberhorn_scaling"]
+__all__ = ["GRID", "ThroughputResult", "render_lauberhorn_scaling",
+           "render_throughput", "run_throughput", "run_lauberhorn_scaling"]
 
 HANDLER_COST = 500
+CONCURRENCY = 32
 
 
 @dataclass(frozen=True)
@@ -60,8 +63,8 @@ def _drive_closed_loop(bed, targets, concurrency: int, n_requests: int):
     return generator.completed, bed.sim.now - start
 
 
-def run_throughput(concurrency: int = 32, n_requests: int = 300,
-                   verbose: bool = True) -> list[ThroughputResult]:
+def run_throughput(concurrency: int = CONCURRENCY,
+                   n_requests: int = 300) -> list[ThroughputResult]:
     results: list[ThroughputResult] = []
 
     # One worker on core 0 each: a Linux socket worker, a bypass PMD
@@ -77,20 +80,21 @@ def run_throughput(concurrency: int = 32, n_requests: int = 300,
             bed, [Target(service, method)], concurrency, n_requests
         )
         results.append(ThroughputResult(stack, 1, completed, duration))
-
-    if verbose:
-        print_table(
-            ["stack", "cores", "requests", "kreq/s/core"],
-            [(r.config, r.n_cores, r.completed,
-              f"{r.requests_per_sec_per_core / 1e3:.0f}")
-             for r in results],
-            title=f"Peak closed-loop throughput (concurrency {concurrency})",
-        )
     return results
 
 
+def render_throughput(results: list[ThroughputResult]) -> None:
+    print_table(
+        ["stack", "cores", "requests", "kreq/s/core"],
+        [(r.config, r.n_cores, r.completed,
+          f"{r.requests_per_sec_per_core / 1e3:.0f}")
+         for r in results],
+        title=f"Peak closed-loop throughput (concurrency {CONCURRENCY})",
+    )
+
+
 def run_lauberhorn_scaling(core_counts=(1, 2, 4), concurrency: int = 48,
-                           n_requests: int = 400, verbose: bool = True):
+                           n_requests: int = 400):
     """One service per core, each with its own armed end-point."""
     results: list[ThroughputResult] = []
     for n_cores in core_counts:
@@ -108,12 +112,23 @@ def run_lauberhorn_scaling(core_counts=(1, 2, 4), concurrency: int = 48,
         results.append(ThroughputResult(
             f"lauberhorn x{n_cores}", n_cores, completed, duration
         ))
-    if verbose:
-        print_table(
-            ["config", "cores", "kreq/s", "kreq/s/core"],
-            [(r.config, r.n_cores, f"{r.requests_per_sec / 1e3:.0f}",
-              f"{r.requests_per_sec_per_core / 1e3:.0f}")
-             for r in results],
-            title="Lauberhorn end-point scaling",
-        )
     return results
+
+
+def render_lauberhorn_scaling(results: list[ThroughputResult]) -> None:
+    print_table(
+        ["config", "cores", "kreq/s", "kreq/s/core"],
+        [(r.config, r.n_cores, f"{r.requests_per_sec / 1e3:.0f}",
+          f"{r.requests_per_sec_per_core / 1e3:.0f}")
+         for r in results],
+        title="Lauberhorn end-point scaling",
+    )
+
+
+GRID = Grid(
+    name="e14", title="Peak throughput & end-point scaling",
+    points=(("throughput", "throughput:run_throughput", {}),
+            ("scaling", "throughput:run_lauberhorn_scaling", {})),
+    assemble=printed((ThroughputResult, render_throughput),
+                     (ThroughputResult, render_lauberhorn_scaling)),
+)

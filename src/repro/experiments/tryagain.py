@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from ..metrics.energy import PowerParams, core_energy
 from ..sim.clock import MS, SEC, US
+from .grid import Grid, printed
 from .report import fmt_ns, print_table
 from .testbed import (
     build_bypass_testbed,
@@ -31,7 +32,8 @@ from .testbed import (
     deploy_service,
 )
 
-__all__ = ["EnergyRow", "TimeoutRow", "run_tryagain_energy",
+__all__ = ["GRID", "EnergyRow", "TimeoutRow", "render_timeout_ablation",
+           "render_tryagain_energy", "run_tryagain_energy",
            "run_timeout_ablation"]
 
 
@@ -75,7 +77,6 @@ def run_tryagain_energy(
     gap_ns: float = 5 * MS,
     n_requests: int = 5,
     power: PowerParams = PowerParams(),
-    verbose: bool = True,
 ) -> list[EnergyRow]:
     """Energy per request for the three wait mechanisms."""
     rows: list[EnergyRow] = []
@@ -107,27 +108,27 @@ def run_tryagain_energy(
                                          core=0)
         served = _serve_trickle(bed, service, method, gap_ns, n_requests)
         finish(mechanism, bed, served)
-
-    if verbose:
-        print_table(
-            ["mechanism", "gap", "reqs", "core0 busy", "core0 stall",
-             "energy", "energy/req"],
-            [
-                (r.stack, fmt_ns(r.gap_ns), r.requests, fmt_ns(r.busy_ns),
-                 fmt_ns(r.stall_ns), f"{r.energy_mj:.3f} mJ",
-                 f"{r.energy_uj_per_request:.1f} uJ")
-                for r in rows
-            ],
-            title="Section 5.1 — wait-mechanism energy "
-                  f"(1 RPC per {fmt_ns(gap_ns)})",
-        )
     return rows
+
+
+def render_tryagain_energy(rows: list[EnergyRow]) -> None:
+    print_table(
+        ["mechanism", "gap", "reqs", "core0 busy", "core0 stall",
+         "energy", "energy/req"],
+        [
+            (r.stack, fmt_ns(r.gap_ns), r.requests, fmt_ns(r.busy_ns),
+             fmt_ns(r.stall_ns), f"{r.energy_mj:.3f} mJ",
+             f"{r.energy_uj_per_request:.1f} uJ")
+            for r in rows
+        ],
+        title="Section 5.1 — wait-mechanism energy "
+              f"(1 RPC per {fmt_ns(rows[0].gap_ns)})",
+    )
 
 
 def run_timeout_ablation(
     timeouts_ns=(1 * MS, 5 * MS, 15 * MS, 100 * MS),
     idle_ns: float = 300 * MS,
-    verbose: bool = True,
 ) -> list[TimeoutRow]:
     """Keep-alive traffic vs Tryagain timeout on a fully idle endpoint."""
     rows: list[TimeoutRow] = []
@@ -143,14 +144,25 @@ def run_timeout_ablation(
                 bed.machine.fabric.stats.total_transactions() / seconds
             ),
         ))
-    if verbose:
-        print_table(
-            ["tryagain timeout", "tryagains/s", "fabric transactions/s"],
-            [
-                (fmt_ns(r.timeout_ns), f"{r.tryagains_per_sec:.1f}",
-                 f"{r.fabric_transactions_per_sec:.1f}")
-                for r in rows
-            ],
-            title="Section 5.1 — Tryagain timeout ablation (idle endpoint)",
-        )
     return rows
+
+
+def render_timeout_ablation(rows: list[TimeoutRow]) -> None:
+    print_table(
+        ["tryagain timeout", "tryagains/s", "fabric transactions/s"],
+        [
+            (fmt_ns(r.timeout_ns), f"{r.tryagains_per_sec:.1f}",
+             f"{r.fabric_transactions_per_sec:.1f}")
+            for r in rows
+        ],
+        title="Section 5.1 — Tryagain timeout ablation (idle endpoint)",
+    )
+
+
+GRID = Grid(
+    name="e6", title="Section 5.1 — Tryagain & energy",
+    points=(("energy", "tryagain:run_tryagain_energy", {}),
+            ("timeout", "tryagain:run_timeout_ablation", {})),
+    assemble=printed((EnergyRow, render_tryagain_energy),
+                     (TimeoutRow, render_timeout_ablation)),
+)

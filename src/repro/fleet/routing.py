@@ -2,7 +2,7 @@
 
 An :class:`EcmpBalancer` maps a flow (client IP, UDP source port,
 service port) to one replica the way a rack fabric or an L4 balancer
-would: a seed-salted hash of the flow tuple, no per-request state.
+would: a seed-salted hash of the flow tuple, computed once per flow.
 The two properties the fleet invariants lean on:
 
 * **deterministic** — the choice is a pure function of (seed, flow),
@@ -12,7 +12,8 @@ The two properties the fleet invariants lean on:
 
 The balancer also keeps a ledger (per-replica ``routed`` counts and
 the flow->replica map) that :mod:`repro.check.fleet` reconciles
-against what each replica actually served.
+against what each replica actually served; the map also spares a
+flow's later requests the hash.
 """
 
 from __future__ import annotations
@@ -53,10 +54,13 @@ class EcmpBalancer:
         return value % len(self.replicas)
 
     def pick(self, src_ip: int, src_port: int):
-        """Choose (and ledger) the replica for one request of a flow."""
-        index = self.index_for(src_ip, src_port)
+        """Choose (and ledger) the replica for one request of a flow;
+        only the flow's first request is hashed."""
+        flow = (src_ip, src_port)
+        index = self.affinity.get(flow)
+        if index is None:
+            index = self.affinity[flow] = self.index_for(src_ip, src_port)
         self.routed[index] += 1
-        self.affinity[(src_ip, src_port)] = index
         return self.replicas[index]
 
     def spread(self) -> dict:

@@ -1,4 +1,4 @@
-"""The sweep scaffold: every sweep experiment's jobs derive from its GRID."""
+"""The grid scaffold: every experiment's jobs derive from its GRID."""
 
 import hashlib
 import json
@@ -8,13 +8,25 @@ import pytest
 
 from repro.exp import jobs as jobs_mod
 from repro.exp.cache import module_closure
-from repro.exp.jobs import EXPERIMENT_SPECS
+from repro.exp.jobs import EXPERIMENT_SPECS, build_jobs
 
-SWEEP_MODULES = {
+GRID_MODULES = {
+    "e1": "fig2_roundtrip",
+    "e2": "fig1_steps",
+    "e3": "fig5_dispatch",
     "e4": "dynamic_mix",
     "e5": "crossover",
+    "e6": "tryagain",
+    "e7": "model_check",
+    "e8": "sched_state",
+    "e9": "nested_rpc",
+    "e10": "protocol_cost",
     "e11": "four_stacks",
+    "e12": "ablation",
+    "e13": "telemetry_breakdown",
+    "e14": "throughput",
     "e15": "load_sweep",
+    "e16": "iommu_tax",
     "e17": "serverless",
     "e18": "sensitivity",
     "e19": "fault_sweep",
@@ -37,48 +49,46 @@ IMPORTED_EXPERIMENTS = {
 }
 
 #: every job of every experiment at root seeds 0 and 7: a changed id, fn,
-#: param, seed or capture flag would move results, seeds and cache keys
+#: param or seed would move results, seeds and cache keys
 JOB_ROWS = 316
 JOB_ROWS_SHA256 = (
-    "28937cd718241ad9648ccedee02b776127948e7677d3d11ae61369bbe4f4948a")
+    "3c42b35bd266ff03081be7cdefb97f5621c83279e49354211eaed230d8469e59")
 
 
 def _grid(name):
-    return import_module(f"repro.experiments.{SWEEP_MODULES[name]}").GRID
+    return import_module(f"repro.experiments.{GRID_MODULES[name]}").GRID
 
 
 def test_job_lists_are_pinned():
     rows = [
         [root_seed, job.job_id, job.experiment, job.fn, job.params,
-         job.seed, job.capture]
+         job.seed]
         for root_seed in (0, 7)
         for spec in EXPERIMENT_SPECS.values()
-        for job in spec.build_jobs(root_seed)
+        for job in build_jobs(spec, root_seed)
     ]
     material = json.dumps(rows, sort_keys=True, separators=(",", ":"))
     assert len(rows) == JOB_ROWS
     assert hashlib.sha256(material.encode()).hexdigest() == JOB_ROWS_SHA256
 
 
-def test_every_sweep_comes_from_its_grid():
-    sweeps = [name for name, spec in EXPERIMENT_SPECS.items()
-              if spec.assemble is not None]
-    assert sweeps == list(SWEEP_MODULES)
-    for name in sweeps:
-        grid, spec = _grid(name), EXPERIMENT_SPECS[name]
-        assert (grid.name, grid.title) == (name, spec.title)
-        assert [job.job_id for job in spec.build_jobs(0)] == [
+def test_every_experiment_comes_from_its_grid():
+    assert list(EXPERIMENT_SPECS) == list(GRID_MODULES)
+    for name, spec in EXPERIMENT_SPECS.items():
+        grid = _grid(name)
+        assert spec is grid and grid.name == name
+        assert [job.job_id for job in build_jobs(spec, 0)] == [
             f"{name}/{key}" for key, _fn, _kwargs in grid.points]
 
 
-@pytest.mark.parametrize("name", list(SWEEP_MODULES))
+@pytest.mark.parametrize("name", list(GRID_MODULES))
 def test_smoke_keys_name_points_and_share_their_jobs(name):
     grid, spec = _grid(name), EXPERIMENT_SPECS[name]
     keys = [key for key, _fn, _kwargs in grid.points]
     assert len(set(keys)) == len(keys)
     assert set(grid.smoke or ()) <= set(keys)
     for root_seed in (0, 7):
-        full = spec.build_jobs(root_seed)
+        full = build_jobs(spec, root_seed)
         smoke = jobs_mod._jobs(spec, root_seed, smoke=True)
         expected = full if grid.smoke is None else [
             job for job in full if job.job_id.partition("/")[2]
@@ -87,7 +97,7 @@ def test_smoke_keys_name_points_and_share_their_jobs(name):
         assert smoke == expected and smoke
 
 
-@pytest.mark.parametrize("module", list(SWEEP_MODULES.values()))
+@pytest.mark.parametrize("module", list(GRID_MODULES.values()))
 def test_grid_modules_import_no_runner(module):
     closure = module_closure(f"repro.experiments.{module}")
     assert "repro.exp" not in closure

@@ -1,4 +1,4 @@
-"""Pool mechanics: execution, capture, crash isolation, parallel fan-out."""
+"""Pool mechanics: execution, crash isolation, parallel fan-out."""
 
 import pytest
 
@@ -12,8 +12,8 @@ from repro.exp.pool import (
 )
 
 
-def _spec(job_id, fn, capture=True, **params):
-    return JobSpec.make(job_id, "t", fn, capture=capture, **params)
+def _spec(job_id, fn, **params):
+    return JobSpec.make(job_id, "t", fn, **params)
 
 
 def test_resolve_imports_callable():
@@ -33,15 +33,6 @@ def test_execute_job_returns_value_and_timing():
     assert result.value == "1.50 us"
     assert result.wall_s >= 0.0
     assert not result.cached
-
-
-def test_execute_job_captures_stdout():
-    result = execute_job(_spec(
-        "t/table", "repro.experiments.report:print_table",
-        headers=["a"], rows=[["x"]], title="T",
-    ))
-    assert result.ok
-    assert "T" in result.stdout and "x" in result.stdout
 
 
 def test_execute_job_isolates_crashes():

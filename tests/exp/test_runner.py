@@ -4,12 +4,12 @@ import json
 import os
 
 from repro.exp.cache import ResultCache
-from repro.exp.jobs import EXPERIMENT_SPECS, run_experiments
+from repro.exp.jobs import EXPERIMENT_SPECS, build_jobs, run_experiments
 from repro.experiments import run_all
 from repro.experiments.run_all import main
 from repro.faults.context import ENV_VAR, active_plan
 
-FAST = ["e7", "e18"]  # sub-second experiments: one monolithic, one sweep
+FAST = ["e7", "e18"]  # sub-second experiments: one part, one sweep
 
 
 def _tables(text: str) -> str:
@@ -22,7 +22,7 @@ def _tables(text: str) -> str:
 def test_registry_covers_all_experiments():
     assert list(EXPERIMENT_SPECS) == [f"e{i}" for i in range(1, 26)]
     for name, spec in EXPERIMENT_SPECS.items():
-        jobs = spec.build_jobs(0)
+        jobs = build_jobs(spec, 0)
         assert jobs, name
         assert len({job.job_id for job in jobs}) == len(jobs)
         assert all(job.experiment == name for job in jobs)
@@ -107,16 +107,12 @@ def test_timings_flag_prints_job_table(capsys):
 
 
 def test_failure_is_isolated_and_reported(capsys, monkeypatch):
-    from repro.exp import jobs as jobs_mod
-    from repro.exp.pool import JobSpec
+    import dataclasses
 
-    spec = EXPERIMENT_SPECS["e7"]
-    broken = [JobSpec.make("e7/main", "e7",
-                           "repro.exp.pool:resolve", fn_path="bad")]
+    broken = (("main", "model_check:run_model_check", {"bogus": 1}),)
     monkeypatch.setitem(
-        jobs_mod.EXPERIMENT_SPECS, "e7",
-        jobs_mod.ExperimentSpec(name="e7", title=spec.title,
-                                build_jobs=lambda seed: broken),
+        EXPERIMENT_SPECS, "e7",
+        dataclasses.replace(EXPERIMENT_SPECS["e7"], points=broken),
     )
     outcome = run_experiments(["e7", "e18"], jobs=1, cache=None)
     out = capsys.readouterr().out

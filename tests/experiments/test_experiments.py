@@ -8,7 +8,7 @@ paper-shape assertions end to end.
 import pytest
 
 from repro.experiments.crossover import measure_rtt_for_size
-from repro.experiments.dynamic_mix import run_dynamic_mix
+from repro.experiments.dynamic_mix import MIX_STACKS, measure_mix_point
 from repro.experiments.fig2_roundtrip import (
     coherent_roundtrip_ns,
     dma_roundtrip_ns,
@@ -32,13 +32,13 @@ def test_fig2_coherent_beats_dma_on_same_machine():
 
 
 def test_fig2_run_returns_four_bars():
-    results = run_fig2(verbose=False)
+    results = run_fig2()
     assert len(results) == 4
     assert {r.mechanism for r in results} == {"coherent", "dma"}
 
 
 def test_fig5_ordering_small():
-    results = run_fig5_dispatch(n_requests=5, verbose=False)
+    results = run_fig5_dispatch(n_requests=5)
     by_config = {r.config: r for r in results}
     assert (by_config["lauberhorn-hot"].p50_rtt_ns
             < by_config["lauberhorn-kernel"].p50_rtt_ns
@@ -55,9 +55,8 @@ def test_crossover_extremes():
 
 
 def test_dynamic_mix_small():
-    results = run_dynamic_mix(
-        service_counts=(2,), n_requests=60, verbose=False
-    )
+    results = [measure_mix_point(stack, 2, n_requests=60)
+               for stack in MIX_STACKS]
     assert len(results) == 3
     lauberhorn = next(r for r in results if r.stack == "lauberhorn")
     bypass = next(r for r in results if r.stack == "bypass")
@@ -66,7 +65,7 @@ def test_dynamic_mix_small():
 
 
 def test_tryagain_energy_shape():
-    rows = run_tryagain_energy(gap_ns=2 * MS, n_requests=3, verbose=False)
+    rows = run_tryagain_energy(gap_ns=2 * MS, n_requests=3)
     by_stack = {r.stack: r for r in rows}
     spin = by_stack["bypass (spin)"]
     blocked = by_stack["lauberhorn (blocked load)"]
@@ -76,13 +75,13 @@ def test_tryagain_energy_shape():
 
 def test_timeout_ablation_monotone():
     rows = run_timeout_ablation(
-        timeouts_ns=(1 * MS, 10 * MS), idle_ns=50 * MS, verbose=False
+        timeouts_ns=(1 * MS, 10 * MS), idle_ns=50 * MS
     )
     assert rows[0].tryagains_per_sec > rows[1].tryagains_per_sec
 
 
 def test_model_check_experiment():
-    rows = run_model_check(verbose=False)
+    rows = run_model_check()
     ok_rows = [r for r in rows if r.config.startswith("correct")]
     bug_rows = [r for r in rows if r.config.startswith("bug")]
     assert all(r.ok for r in ok_rows)
@@ -90,19 +89,19 @@ def test_model_check_experiment():
 
 
 def test_sched_state_overhead_negligible():
-    result = run_sched_state(n_switches=50, verbose=False)
+    result = run_sched_state(n_switches=50)
     assert result.push_overhead_pct < 3.0
     assert result.pushed_switch_ns > result.base_switch_ns
 
 
 def test_nested_rpc_speedup():
-    results = run_nested_rpc(n_requests=4, verbose=False)
+    results = run_nested_rpc(n_requests=4)
     by_stack = {r.stack: r for r in results}
     assert by_stack["lauberhorn"].p50_rtt_ns < by_stack["linux"].p50_rtt_ns / 2
 
 
 def test_protocol_cost_minimal():
-    cost = run_protocol_cost(n_requests=8, verbose=False)
+    cost = run_protocol_cost(n_requests=8)
     assert cost.fills_per_request == 1.0
     assert cost.recalls_per_request == 1.0
     assert cost.upgrades_per_request == 0.0

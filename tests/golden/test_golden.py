@@ -12,8 +12,11 @@ readable per-path diff — which is the point: behaviour changes must be
 
 The experiments run once per session (``conftest.py``), under an
 inert ambient policy spec, and ``test_claims.py`` reads the same runs.
+The tables that run prints must equal ``results/run_all_output.txt``,
+the capture EXPERIMENTS.md quotes, apart from the wall-clock lines.
 """
 
+import difflib
 import json
 import pathlib
 import re
@@ -121,3 +124,32 @@ def test_experiment_matches_hash_pin(name, hashed_values):
             "experiment to inspect, and if the change is intentional "
             "regenerate with `python tools/regen_golden.py --hashes`."
         )
+
+
+#: the E1-E18 tables as ``run_all`` prints them (EXPERIMENTS.md quotes it)
+RUN_ALL_OUTPUT = GOLDEN_DIR.parent.parent / "results" / "run_all_output.txt"
+_WALL_CLOCK_LINE = re.compile(r"\[e\d+ completed in [\d.]+ s wall clock\]")
+
+
+def _tables(text: str) -> list[str]:
+    """``text``'s lines minus the run-dependent wall-clock lines."""
+    return [line for line in text.splitlines()
+            if not _WALL_CLOCK_LINE.fullmatch(line)]
+
+
+def test_printed_tables_match_the_captured_run(fresh_tables):
+    expected = _tables(RUN_ALL_OUTPUT.read_text())
+    actual = _tables(fresh_tables)
+    if actual == expected:
+        return
+    diff = list(difflib.unified_diff(
+        expected, actual, "results/run_all_output.txt", "this run",
+        lineterm="", n=1))
+    shown = "\n".join(diff[:40])
+    pytest.fail(
+        "the E1-E18 tables differ from results/run_all_output.txt:\n"
+        f"{shown}\nIf the change is intentional, refresh the file with "
+        "`PYTHONPATH=src python -m repro.experiments.run_all e1 e2 e3 e4 "
+        "e5 e6 e7 e8 e9 e10 e11 e12 e13 e14 e15 e16 e17 e18 --no-cache "
+        "> results/run_all_output.txt` and review the diff."
+    )

@@ -3,7 +3,7 @@ seeds, Lauberhorn's latency and efficiency advantages are not noise."""
 
 import pytest
 
-from repro.experiments.dynamic_mix import run_dynamic_mix
+from repro.experiments.dynamic_mix import MIX_STACKS, measure_mix_point
 from repro.metrics import t_confidence_interval
 
 SEEDS = (0, 1, 2)
@@ -13,11 +13,9 @@ SEEDS = (0, 1, 2)
 def multiseed_results():
     rows = {"lauberhorn": [], "bypass": [], "linux": []}
     for seed in SEEDS:
-        results = run_dynamic_mix(
-            service_counts=(8,), n_requests=120, seed=seed, verbose=False
-        )
-        for result in results:
-            rows[result.stack].append(result)
+        for stack in MIX_STACKS:
+            rows[stack].append(
+                measure_mix_point(stack, 8, n_requests=120, seed=seed))
     return rows
 
 

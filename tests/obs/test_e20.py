@@ -79,9 +79,9 @@ def test_results_are_deterministic_in_process():
 
 
 def test_e20_registered_with_runner():
-    from repro.exp.jobs import EXPERIMENT_SPECS
+    from repro.exp.jobs import EXPERIMENT_SPECS, build_jobs
 
     spec = EXPERIMENT_SPECS["e20"]
-    jobs = spec.build_jobs(0)
+    jobs = build_jobs(spec, 0)
     assert [job.job_id for job in jobs] == [f"e20/{s}" for s in STACKS]
     assert spec.assemble is not None

@@ -111,10 +111,10 @@ def test_validate_rejects_broken_payloads(results):
 
 
 def test_e21_registered_with_runner():
-    from repro.exp.jobs import EXPERIMENT_SPECS
+    from repro.exp.jobs import EXPERIMENT_SPECS, build_jobs
 
     spec = EXPERIMENT_SPECS["e21"]
-    jobs = spec.build_jobs(0)
+    jobs = build_jobs(spec, 0)
     assert [job.job_id for job in jobs] == [f"e21/{s}" for s in STACKS]
     assert spec.assemble is not None
 

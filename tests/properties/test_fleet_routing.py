@@ -55,6 +55,23 @@ def test_balancer_is_flow_affine():
         assert balancer.affinity[flow] == balancer.index_for(*flow)
 
 
+def test_balancer_hashes_each_flow_once(monkeypatch):
+    import repro.fleet.routing as routing
+
+    real_hash, calls = routing.rss_hash, []
+
+    def counting_hash(*args):
+        calls.append(args)
+        return real_hash(*args)
+
+    monkeypatch.setattr(routing, "rss_hash", counting_hash)
+    balancer = EcmpBalancer(list("wxyz"), seed=0)
+    picks = [balancer.pick(*flow) for _ in range(3) for flow in FLOWS]
+    assert len(calls) == len(FLOWS)
+    assert picks == [balancer.replicas[balancer.index_for(*flow)]
+                     for _ in range(3) for flow in FLOWS]
+
+
 def test_balancer_rejects_zero_replicas():
     with pytest.raises(ValueError):
         EcmpBalancer([])

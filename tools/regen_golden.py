@@ -19,7 +19,9 @@ diff to confirm the shift is the one you meant to make.
 Both modes first evaluate the paper's claims (:mod:`repro.exp.claims`)
 on what they just computed: if a claim fails, nothing is written, the
 failing claim ids are printed and the exit status is 1.  A golden that
-breaks a paper claim cannot be re-pinned by accident.
+breaks a paper claim cannot be re-pinned by accident.  Neither mode
+runs under a fault plan that injects something (``REPRO_FAULTS`` set
+in the environment): the pins record calm runs, so the tool exits 2.
 
 Usage::
 
@@ -47,6 +49,7 @@ from repro.exp.claims import failures  # noqa: E402
 from repro.exp.golden import (GOLDEN_EXPERIMENTS,  # noqa: E402
                               HASHED_EXPERIMENTS, golden_digest)
 from repro.exp.jobs import run_experiments  # noqa: E402
+from repro.faults.context import ENV_VAR, active_plan  # noqa: E402
 from repro.experiments.e24_tenancy import TENANCY_ARTIFACT  # noqa: E402
 from repro.experiments.e25_slo import SLO_ARTIFACT  # noqa: E402
 from scenarios import WORKLOADS as PERFBENCH_WORKLOADS  # noqa: E402
@@ -143,6 +146,12 @@ def regenerate_hashes() -> int:
 
 
 def main(argv: list[str]) -> int:
+    plan = active_plan()
+    if plan is not None and plan.active:
+        print(f"{ENV_VAR}={os.environ.get(ENV_VAR)!r} injects faults, and "
+              f"goldens pin calm runs: unset {ENV_VAR} and re-run",
+              file=sys.stderr)
+        return 2
     if argv and argv[0] == "--hashes":
         if argv[1:]:
             print("--hashes takes no further arguments", file=sys.stderr)
