@@ -25,8 +25,9 @@
 #                      artifacts land in results/faults/, never over the
 #                      committed results/ files)
 #   run-e20            the observability experiment alone: per-stage
-#                      attribution + armed/unarmed RTT identity +
-#                      results/e20_trace.json
+#                      attribution + span counts/violations +
+#                      results/e20_trace.json (arming's inertness is
+#                      tests/obs/test_arming_is_inert.py)
 #   run-e21            timelines/flight/tail forensics alone ->
 #                      results/e21_timeline.json
 #   run-e22            control-plane policy tournaments + epoch

@@ -17,8 +17,9 @@ every switch), plus three checks only a fleet has:
   shuttles trips it;
 * **replica ledger** — what the ECMP balancer routed to each replica
   reconciles with what that replica's handler actually served
-  (exact at drained quiesce under calm plans), and the recorded
-  flow->replica affinity map replays through the hash unchanged.
+  (exact at drained quiesce under calm plans), and each flow the
+  flow->replica affinity map records replays through the hash
+  unchanged (checked once per flow: the map only gains flows).
 
 Call after ``fleet.deploy(...)`` so the ledger can see the replicas.
 Like everything in :mod:`repro.check`, nothing is installed unless a
@@ -27,6 +28,7 @@ harness opts in.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable
 
 from ..net.headers import HeaderError
@@ -125,10 +127,15 @@ def _install_replica_ledger_checks(reg: CheckRegistry, fleet) -> None:
         deployment.method.handler = counted
 
     calm_wire = fleet.plan is None or not fleet.plan.link.active
+    #: flows of ``balancer.affinity`` (insertion order) already replayed
+    replayed = 0
 
     def consistency() -> Iterable[str]:
+        nonlocal replayed
         problems = []
-        for (src_ip, src_port), index in balancer.affinity.items():
+        flows = islice(balancer.affinity.items(), replayed, None)
+        replayed = len(balancer.affinity)
+        for (src_ip, src_port), index in flows:
             replay = balancer.index_for(src_ip, src_port)
             if replay != index:
                 problems.append(

@@ -397,12 +397,10 @@ def _adaptive(value) -> list:
 _GRIDS = [
     # one item per stack
     *_rows("e21", "§6 tracing", _each(),
-           armed_run_is_bit_identical=lambda r: r["identical"],
            violation_freezes_flight_dump=lambda r: bool(
                r["flight_dump"] and r["flight_dump"]["events"]
                and r["flight_dump"]["reason"])),
     *_rows("e22", "§6 control", _tournament(lambda c: c["policy"] == "none"),
-           inert_controller_is_byte_identical=lambda c: c["identical"],
            inert_controller_never_actuates=lambda c: not c["actuations"]),
     *_rows("e22", "§6 control", _tournament(lambda c: c["policy"] != "none"),
            active_policy_reaches_an_epoch=lambda c: c["epochs"] >= 1),
@@ -447,8 +445,6 @@ _GRIDS = [
            flame_folds_are_exact=lambda c: all(
                group["exact"] and group["self_sum_ns"] == group["root_sum_ns"]
                for group in c["flame"].values())),
-    *_rows("e25", "§6 tracing", _cells(guarded=False),
-           armed_run_is_byte_identical=lambda c: c["identical"]),
     *_rows("e25", "§6 tracing", _cells(interference="calm"),
            calm_cells_never_alert=lambda c: (
                c["slo"]["n_alerts"] == 0 and not _victim(c)["violated"])),

@@ -3,9 +3,10 @@
 The tentpole demonstration of :mod:`repro.ctrl`: every stack runs the
 same open-loop echo load under E19-family fault plans, three ways —
 
-* ``none``    — controller inert (and asserted **byte-identical** to a
-  run with no controller, sampler, or registry at all: the strict
-  no-regression contract, re-checked inside every tournament cell);
+* ``none``    — controller inert: the run must equal one with no
+  controller, sampler, or registry at all, the strict no-regression
+  contract that ``tests/obs/test_arming_is_inert.py`` checks on every
+  ``none`` cell;
 * ``backoff`` — AIMD admission control driven by Tryagain/retry
   storms;
 * ``tuner``   — interrupt-moderation / polling-interval tuning from
@@ -108,8 +109,6 @@ class ControlCell:
     epochs: int = 0
     #: counter resets the sampler clamped (crash/restart telemetry)
     rate_resets: dict = field(default_factory=dict)
-    #: ``none`` cells only: armed-but-inert run == bare run, RTT for RTT
-    identical: Optional[bool] = None
 
 
 def _drive(stack: str, plan: FaultPlan, spec: Optional[PolicySpec],
@@ -163,19 +162,19 @@ def _drive(stack: str, plan: FaultPlan, spec: Optional[PolicySpec],
     return list(generator.recorder.samples), stats
 
 
+def _cell(stack: str, plan_label: str, policy: str, seed: int):
+    """A tournament cell's ``(plan, spec, rng_seed)`` for :func:`_drive`."""
+    return (FaultPlan.from_spec(FAULT_PLANS[plan_label].format(seed=seed)),
+            PolicySpec.from_spec(POLICY_SPECS[policy]),
+            derive_seed(seed, "e22", stack, plan_label))
+
+
 def measure_control_cell(stack: str, plan_label: str, policy: str,
                          seed: int = 0,
                          n_requests: int = N_REQUESTS) -> ControlCell:
-    """Run one tournament cell; ``none`` cells re-check byte-identity."""
-    plan = FaultPlan.from_spec(FAULT_PLANS[plan_label].format(seed=seed))
-    spec = PolicySpec.from_spec(POLICY_SPECS[policy])
-    rng_seed = derive_seed(seed, "e22", stack, plan_label)
-    rtts, stats = _drive(stack, plan, spec, rng_seed, n_requests)
-    identical: Optional[bool] = None
-    if spec.inert:
-        bare_rtts, _bare = _drive(stack, plan, None, rng_seed, n_requests,
-                                  armed=False)
-        identical = rtts == bare_rtts
+    """Run one tournament cell."""
+    rtts, stats = _drive(stack, *_cell(stack, plan_label, policy, seed),
+                         n_requests)
     return ControlCell(
         stack=stack,
         plan=plan_label,
@@ -190,7 +189,6 @@ def measure_control_cell(stack: str, plan_label: str, policy: str,
         actuations=stats["actuations"],
         epochs=stats["epochs"],
         rate_resets=stats["rate_resets"],
-        identical=identical,
     )
 
 
@@ -245,11 +243,10 @@ def render_control(cells: list["ControlCell"],
                 str(cell.tryagains),
                 str(cell.deferrals),
                 str(len(cell.actuations)),
-                {True: "yes", False: "NO", None: "-"}[cell.identical],
             ))
         print_table(
             ["stack", "policy", "done", "p50 RTT", "p99 RTT", "retries",
-             "tryagains", "deferred", "actuations", "identical"],
+             "tryagains", "deferred", "actuations"],
             rows,
             title=f"E22 — policy tournament under the {plan_label!r} plan",
         )

@@ -26,10 +26,11 @@ Lauberhorn host, plus tight-objective calm/storm cells on the 2-ToR
 fleet (storm pounding host 0 only — the cross-host tail attribution
 case: host0's victim replica pages, host1's stays green).
 
-Every identity-eligible cell is run twice, unarmed then armed, and the
-victim RTT streams must match exactly — the one-``is None`` arming
-convention, extended to SLO/flame.  Artifact:
-``results/e25_slo.json``; its claims are rows of
+Every cell runs once, armed.  Arming follows the one-``is None``
+convention, extended to SLO/flame, so it moves no simulated result:
+``tests/obs/test_arming_is_inert.py`` runs sampled cells bare and
+armed (``_drive_single``/``_drive_fleet``) and requires equal victim
+RTT lists.  Artifact: ``results/e25_slo.json``; its claims are rows of
 :mod:`repro.exp.claims`.
 """
 
@@ -140,9 +141,6 @@ class SloCell:
     tightness: str
     interference: str
     guarded: bool
-    #: armed victim RTTs byte-identical to the unarmed run (None for
-    #: the guard cell, whose controller actuates by design)
-    identical: bool | None
     n_victim: int
     victim_completed: int
     victim_p50_ns: float
@@ -165,7 +163,9 @@ class SloCell:
 
 
 def _parse_label(label: str) -> tuple[int, str, str, bool]:
-    """``"4t-tight-storm"`` -> (4, "tight", "storm", False)."""
+    """``"4t-tight-storm"`` -> (4, "tight", "storm", False); a fleet
+    cell (``"fleet-tight-calm"``) has the victim and aggressor tenants."""
+    label = label.replace("fleet-", "2t-")
     guarded = label.endswith("-guard")
     if guarded:
         label = label[: -len("-guard")]
@@ -300,157 +300,147 @@ def _arm(bed, install, tightness: str, storm: bool,
                 tracker=tracker, checks=checks, actuators=None)
 
 
-def measure_single_cell(label: str, seed: int = 0) -> SloCell:
-    """One single-host cell, run unarmed then armed (identity proof),
-    with SLO tracking, flame folding, and tail attribution on top."""
+def _drive_single(label: str, seed: int, armed: bool):
+    """One single-host cell's run: ``(victim RTTs, completed, obs)``.
+
+    ``armed=False`` builds the bed and its traffic only (``obs`` empty);
+    ``True`` adds :func:`_arm` and, in the guard cell, the slo_guard."""
     n_tenants, tightness, interference, guarded = _parse_label(label)
     storm = interference == "storm"
+    bed = build_lauberhorn_testbed(n_clients=4, seed=seed,
+                                   preempt_on_backlog=True)
+    table = _build_table(n_tenants, storm)
+    bed.nic.attach_tenants(table)
+    victim_service, victim_method = deploy_service(
+        bed, "lauberhorn", name="victim", udp_port=9000,
+        cost_instructions=VICTIM_COST, core=0, tenant="victim")
+    aggr_parts = None
+    if storm:
+        aggr_service, aggr_method = deploy_service(
+            bed, "lauberhorn", name="aggr", udp_port=9100,
+            cost_instructions=PATTERNS["storm"]["cost"], core=1,
+            tenant="aggressor", encrypted=PATTERNS["storm"]["encrypted"])
+        aggr_parts = (aggr_service, aggr_method)
+    for index in range(n_tenants - 2):
+        by_service, by_method = deploy_service(
+            bed, "lauberhorn", name=f"bystander{index}",
+            udp_port=9200 + index, cost_instructions=VICTIM_COST,
+            core=2 + index, tenant=f"bystander{index}")
+        gen = OpenLoopGenerator(
+            bed.clients[2 + index],
+            ServiceMix([Target(by_service, by_method)]),
+            bed.server_mac, bed.server_ip,
+            random.Random(seed + 31 + index))
+        bed.sim.process(gen.run(BYSTANDER_RATE, BYSTANDER_REQUESTS))
 
-    def drive(armed: bool):
-        bed = build_lauberhorn_testbed(n_clients=4, seed=seed,
-                                       preempt_on_backlog=True)
-        table = _build_table(n_tenants, storm)
-        bed.nic.attach_tenants(table)
-        victim_service, victim_method = deploy_service(
-            bed, "lauberhorn", name="victim", udp_port=9000,
-            cost_instructions=VICTIM_COST, core=0, tenant="victim")
-        aggr_parts = None
-        if storm:
-            aggr_service, aggr_method = deploy_service(
-                bed, "lauberhorn", name="aggr", udp_port=9100,
-                cost_instructions=PATTERNS["storm"]["cost"], core=1,
-                tenant="aggressor", encrypted=PATTERNS["storm"]["encrypted"])
-            aggr_parts = (aggr_service, aggr_method)
-        for index in range(n_tenants - 2):
-            by_service, by_method = deploy_service(
-                bed, "lauberhorn", name=f"bystander{index}",
-                udp_port=9200 + index, cost_instructions=VICTIM_COST,
-                core=2 + index, tenant=f"bystander{index}")
-            gen = OpenLoopGenerator(
-                bed.clients[2 + index],
-                ServiceMix([Target(by_service, by_method)]),
-                bed.server_mac, bed.server_ip,
-                random.Random(seed + 31 + index))
-            bed.sim.process(gen.run(BYSTANDER_RATE, BYSTANDER_REQUESTS))
+    obs = {}
+    gate = None
+    if armed:
+        obs = _arm(bed, install_checks, tightness, storm, HORIZON_NS)
+        if guarded:
+            gate = AdmissionGate()
+            obs["actuators"] = Actuators(bed.sim, nic=bed.nic, gate=gate)
+            Controller(obs["sampler"], obs["actuators"],
+                       PolicySpec.from_spec(GUARD_SPEC))
 
-        obs = {}
-        gate = None
-        if armed:
-            obs = _arm(bed, install_checks, tightness, storm, HORIZON_NS)
-            if guarded:
-                gate = AdmissionGate()
-                obs["actuators"] = Actuators(bed.sim, nic=bed.nic,
-                                             gate=gate)
-                Controller(obs["sampler"], obs["actuators"],
-                           PolicySpec.from_spec(GUARD_SPEC))
+    aggressor_done: list = []
+    if storm:
+        _storm(bed.sim, bed.clients[1], bed.server_mac, bed.server_ip,
+               aggr_parts[0], aggr_parts[1], random.Random(seed + 17),
+               aggressor_done, gate=gate)
+    victim_gen = OpenLoopGenerator(
+        bed.clients[0],
+        ServiceMix([Target(victim_service, victim_method)]),
+        bed.server_mac, bed.server_ip, random.Random(seed + 1))
+    bed.sim.process(victim_gen.run(VICTIM_RATE, VICTIM_REQUESTS))
+    bed.sim.run(until=HORIZON_NS)
+    if armed:
+        obs["sampler"].finish()
+        obs["violations"] = obs["checks"].finish()
+    return list(victim_gen.recorder.samples), victim_gen.completed, obs
 
-        aggressor_done: list = []
-        if storm:
-            _storm(bed.sim, bed.clients[1], bed.server_mac, bed.server_ip,
-                   aggr_parts[0], aggr_parts[1], random.Random(seed + 17),
-                   aggressor_done, gate=gate)
-        victim_gen = OpenLoopGenerator(
-            bed.clients[0],
-            ServiceMix([Target(victim_service, victim_method)]),
-            bed.server_mac, bed.server_ip, random.Random(seed + 1))
-        bed.sim.process(victim_gen.run(VICTIM_RATE, VICTIM_REQUESTS))
-        bed.sim.run(until=HORIZON_NS)
-        if armed:
-            obs["sampler"].finish()
-            obs["violations"] = obs["checks"].finish()
-        return list(victim_gen.recorder.samples), victim_gen.completed, obs
 
-    identical: bool | None = None
-    if not guarded:
-        base_rtts, _, _ = drive(armed=False)
-    rtts, completed, obs = drive(armed=True)
-    if not guarded:
-        identical = rtts == base_rtts
-
-    return _finish_cell("single", label, n_tenants, tightness, interference,
-                        guarded, identical, VICTIM_REQUESTS, completed,
-                        rtts, obs)
+def measure_single_cell(label: str, seed: int = 0) -> SloCell:
+    """One single-host cell, armed: SLO tracking, flame folding, and
+    tail attribution."""
+    return _finish_cell("single", label, VICTIM_REQUESTS,
+                        *_drive_single(label, seed, armed=True))
 
 
 FLEET_VICTIM_REQUESTS = 600
 FLEET_VICTIM_FLOWS = 8
 
 
+def _drive_fleet(label: str, seed: int, armed: bool):
+    """One fleet cell's run: ``(victim RTTs, completed, obs)``; see
+    :func:`_drive_single`."""
+    _, tightness, interference, _ = _parse_label(label)
+    storm = interference == "storm"
+    fleet = build_fleet(
+        [HostSpec(stack="lauberhorn", tor=0),
+         HostSpec(stack="lauberhorn", tor=1)],
+        topo=TopologySpec(n_tors=2),
+        n_clients=2,
+        seed=seed,
+    )
+    for host in fleet.hosts:
+        host.nic.attach_tenants(_build_table(2, storm))
+    host0 = fleet.hosts[0]
+    aggr_parts = None
+    if storm:
+        aggr_service, aggr_method = deploy_service(
+            host0, "lauberhorn", name="aggr", udp_port=9100,
+            cost_instructions=PATTERNS["storm"]["cost"], core=1,
+            tenant="aggressor", encrypted=PATTERNS["storm"]["encrypted"])
+        aggr_parts = (aggr_service, aggr_method)
+    fleet.deploy(name="victim", udp_port=9000,
+                 cost_instructions=VICTIM_COST, tenant="victim")
+
+    obs = {}
+    if armed:
+        obs = _arm(fleet, install_fleet_checks, tightness, storm,
+                   FLEET_HORIZON_NS)
+
+    rtts: list = []
+    completed: list = []
+
+    def victim_loop():
+        rng = random.Random(seed + 1)
+        gap = 1e9 / VICTIM_RATE
+        for k in range(FLEET_VICTIM_REQUESTS):
+            event = fleet.send(fleet.clients[0],
+                               41000 + (k % FLEET_VICTIM_FLOWS), [k])
+
+            def note(ev):
+                completed.append(1)
+                rtts.append(ev.value.rtt_ns)
+
+            event.add_callback(note)
+            yield fleet.sim.timeout(rng.expovariate(1.0) * gap)
+
+    fleet.sim.process(victim_loop(), name="e25-fleet-victim")
+    aggressor_done: list = []
+    if storm:
+        _storm(fleet.sim, fleet.clients[1], host0.server_mac,
+               host0.server_ip, aggr_parts[0], aggr_parts[1],
+               random.Random(seed + 17), aggressor_done)
+    fleet.run(until=FLEET_HORIZON_NS)
+    if armed:
+        obs["sampler"].finish()
+        obs["violations"] = obs["checks"].finish()
+    return list(rtts), len(completed), obs
+
+
 def measure_fleet_cell(label: str, seed: int = 0) -> SloCell:
     """2-ToR rack, victim replicated on both hosts, storm on host 0:
     the tracker pages on the shared victim objective while the flame
     and tail groups attribute the pain to host0's replica."""
-    n_tenants, tightness, interference, _ = _parse_label(
-        label.replace("fleet-", "2t-"))
-    storm = interference == "storm"
-
-    def drive(armed: bool):
-        fleet = build_fleet(
-            [HostSpec(stack="lauberhorn", tor=0),
-             HostSpec(stack="lauberhorn", tor=1)],
-            topo=TopologySpec(n_tors=2),
-            n_clients=2,
-            seed=seed,
-        )
-        for host in fleet.hosts:
-            host.nic.attach_tenants(_build_table(2, storm))
-        host0 = fleet.hosts[0]
-        aggr_parts = None
-        if storm:
-            aggr_service, aggr_method = deploy_service(
-                host0, "lauberhorn", name="aggr", udp_port=9100,
-                cost_instructions=PATTERNS["storm"]["cost"], core=1,
-                tenant="aggressor", encrypted=PATTERNS["storm"]["encrypted"])
-            aggr_parts = (aggr_service, aggr_method)
-        fleet.deploy(name="victim", udp_port=9000,
-                     cost_instructions=VICTIM_COST, tenant="victim")
-
-        obs = {}
-        if armed:
-            obs = _arm(fleet, install_fleet_checks, tightness, storm,
-                       FLEET_HORIZON_NS)
-
-        rtts: list = []
-        completed: list = []
-
-        def victim_loop():
-            rng = random.Random(seed + 1)
-            gap = 1e9 / VICTIM_RATE
-            for k in range(FLEET_VICTIM_REQUESTS):
-                event = fleet.send(fleet.clients[0],
-                                   41000 + (k % FLEET_VICTIM_FLOWS), [k])
-
-                def note(ev):
-                    completed.append(1)
-                    rtts.append(ev.value.rtt_ns)
-
-                event.add_callback(note)
-                yield fleet.sim.timeout(rng.expovariate(1.0) * gap)
-
-        fleet.sim.process(victim_loop(), name="e25-fleet-victim")
-        aggressor_done: list = []
-        if storm:
-            _storm(fleet.sim, fleet.clients[1], host0.server_mac,
-                   host0.server_ip, aggr_parts[0], aggr_parts[1],
-                   random.Random(seed + 17), aggressor_done)
-        fleet.run(until=FLEET_HORIZON_NS)
-        if armed:
-            obs["sampler"].finish()
-            obs["violations"] = obs["checks"].finish()
-        return list(rtts), len(completed), obs
-
-    base_rtts, _, _ = drive(armed=False)
-    rtts, completed, obs = drive(armed=True)
-    identical = rtts == base_rtts
-
-    return _finish_cell("fleet", label, n_tenants, tightness, interference,
-                        False, identical, FLEET_VICTIM_REQUESTS, completed,
-                        rtts, obs)
+    return _finish_cell("fleet", label, FLEET_VICTIM_REQUESTS,
+                        *_drive_fleet(label, seed, armed=True))
 
 
-def _finish_cell(section, label, n_tenants, tightness, interference,
-                 guarded, identical, n_victim, completed, rtts,
-                 obs) -> SloCell:
+def _finish_cell(section, label, n_victim, rtts, completed, obs) -> SloCell:
+    n_tenants, tightness, interference, guarded = _parse_label(label)
     recorder = obs["recorder"]
     tracker = obs["tracker"]
     profile = fold_spans(recorder)
@@ -472,7 +462,6 @@ def _finish_cell(section, label, n_tenants, tightness, interference,
         tightness=tightness,
         interference=interference,
         guarded=guarded,
-        identical=identical,
         n_victim=n_victim,
         victim_completed=completed,
         victim_p50_ns=nearest_rank(rtts, 0.50),
@@ -512,14 +501,12 @@ def render_slo(cells: list["SloCell"]) -> None:
                 fmt_ns(exhausted) if exhausted is not None else "-",
                 (fmt_ns(victim["alert_lead_ns"])
                  if victim.get("alert_lead_ns") is not None else "-"),
-                {True: "yes", False: "NO", None: "n/a"}[cell.identical],
                 str(cell.violations),
             ))
         if rows:
             print_table(
                 ["cell", "victim done", "v p99.9", "bad/total",
-                 "first alert", "exhausted", "lead", "identical",
-                 "violations"],
+                 "first alert", "exhausted", "lead", "violations"],
                 rows,
                 title=titles[section],
             )

@@ -1,25 +1,22 @@
-"""E20 — request-scoped observability: attribution and overhead.
+"""E20 — request-scoped observability: per-stage latency attribution.
 
 Runs the Section 2 design space (the same four stacks and echo
-workload as E11) twice per stack: once *unarmed* (no span recorder
-attached, the shipping configuration) and once *armed* (every layer
-records spans into one :class:`~repro.obs.spans.SpanRecorder`).
+workload as E11) once per stack with every layer recording spans into
+one :class:`~repro.obs.spans.SpanRecorder`, and reports **where a
+request's RTT actually goes** in each architecture (wire, NIC,
+softirq, sockets, application, egress), computed from the span tree
+rather than hand-inserted timestamps.
 
-Two results come out:
+Spans do Python-side bookkeeping only and never advance simulated
+time, so arming them must not move a simulated result:
+``tests/obs/test_arming_is_inert.py`` runs every stack bare and armed
+(this module's ``_drive`` with and without ``_arm``) and requires equal
+RTT lists.  Arming's host cost is not timed here (a 25-request run
+measures host noise, not tracing); the perfbench ``tenant_storm``
+workload, which arms every layer, measures it end to end.
 
-* **per-stage latency attribution** — where a request's RTT actually
-  goes in each architecture (wire, NIC, softirq, sockets, application,
-  egress), computed from the span tree rather than hand-inserted
-  timestamps; and
-* **tracing overhead in simulated time** — spans do Python-side
-  bookkeeping only and never advance simulated time, so the armed run
-  must produce *bit-identical* RTTs.  Arming's host cost is not timed
-  here (two 25-request runs measure host noise, not tracing); the
-  perfbench ``tenant_storm`` workload, which arms every layer,
-  measures it end to end.
-
-The armed spans are also the payload for the Perfetto/Chrome-trace
-artifact (``results/e20_trace.json``) written by the runner.
+The spans are also the payload for the Perfetto/Chrome-trace artifact
+(``results/e20_trace.json``) written by the runner.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ STAGE_ORDER: dict[str, tuple[str, ...]] = {
 
 @dataclass(frozen=True)
 class ObsResult:
-    """One stack's armed-vs-unarmed comparison."""
+    """One stack's armed run: attribution, spans and integrity."""
 
     stack: str
     n_requests: int
@@ -64,8 +61,6 @@ class ObsResult:
     stages: dict = field(default_factory=dict)
     #: spans as ``Span.as_dict()`` dicts (JSON-able, export-ready)
     spans: list = field(default_factory=list)
-    #: armed RTT list == unarmed RTT list, element for element
-    identical: bool = True
     #: span-tree integrity violations (must be empty)
     violations: list = field(default_factory=list)
     #: number of metric rows a full registry snapshot yields
@@ -96,24 +91,24 @@ def _drive(bed, service, method, n_requests: int) -> list[float]:
     return rtts
 
 
-def measure_obs_stack(stack: str, n_requests: int = 25) -> ObsResult:
-    """Run one stack unarmed then armed; compare and attribute."""
-    bed, service, method = _build_stack(stack)
-    base_rtts = _drive(bed, service, method, n_requests)
+def _arm(bed, stack: str):
+    """Arm spans on every layer of ``bed`` and bind its metrics."""
+    return arm_testbed(bed), bind_testbed_metrics(bed, prefix=stack)
 
+
+def measure_obs_stack(stack: str, n_requests: int = 25) -> ObsResult:
+    """Run one stack armed and attribute its RTT to stages."""
     bed, service, method = _build_stack(stack)
-    recorder = arm_testbed(bed)
-    registry = bind_testbed_metrics(bed, prefix=stack)
-    armed_rtts = _drive(bed, service, method, n_requests)
+    recorder, registry = _arm(bed, stack)
+    rtts = _drive(bed, service, method, n_requests)
 
     return ObsResult(
         stack=stack,
         n_requests=n_requests,
-        p50_rtt_ns=nearest_rank(armed_rtts, 0.50),
+        p50_rtt_ns=nearest_rank(rtts, 0.50),
         stages={name: list(stat) for name, stat in
                 stage_attribution(recorder.spans).items()},
         spans=[span.as_dict() for span in recorder.spans],
-        identical=armed_rtts == base_rtts,
         violations=recorder.check_integrity(),
         metric_rows=len(registry.snapshot()),
     )
@@ -141,12 +136,11 @@ def render_obs_attribution(results: list["ObsResult"]) -> None:
             title=f"{result.stack} — per-stage latency attribution",
         )
     print_table(
-        ["stack", "spans", "metrics", "RTTs identical", "violations"],
+        ["stack", "spans", "metrics", "violations"],
         [(r.stack, str(len(r.spans)), str(r.metric_rows),
-          "yes" if r.identical else "NO", str(len(r.violations)))
-         for r in results],
-        title="Tracing overhead — armed vs unarmed (sim results must "
-              "not move)",
+          str(len(r.violations))) for r in results],
+        title="Span recording — spans, metric rows and span-tree "
+              "violations per stack",
     )
 
 

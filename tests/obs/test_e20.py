@@ -1,4 +1,8 @@
-"""E20: attribution correctness and the zero-overhead guarantee."""
+"""E20: attribution correctness, span integrity and the artifact.
+
+That arming spans moves no simulated result is checked, stack by stack,
+in ``test_arming_is_inert.py``.
+"""
 
 import json
 
@@ -18,13 +22,6 @@ from repro.obs.export import validate_chrome_trace
 def results():
     return {stack: measure_obs_stack(stack, n_requests=6)
             for stack in STACKS}
-
-
-@pytest.mark.parametrize("stack", STACKS)
-def test_arming_does_not_move_simulated_results(results, stack):
-    # The tentpole guarantee: spans never touch the simulator, so the
-    # armed run's RTT list is bit-identical to the unarmed run's.
-    assert results[stack].identical
 
 
 @pytest.mark.parametrize("stack", STACKS)
@@ -57,7 +54,7 @@ def test_render_and_artifact(results, tmp_path, capsys):
     out = capsys.readouterr().out
     for stack in STACKS:
         assert f"{stack} — per-stage latency attribution" in out
-    assert "Tracing overhead" in out
+    assert "Span recording" in out
 
     path = tmp_path / "artifacts" / "e20_trace.json"
     payload = write_trace_artifact(ordered, str(path))

@@ -1,4 +1,8 @@
-"""E21: timelines, flight dumps, tail joins, and determinism."""
+"""E21: timelines, flight dumps, tail joins, and determinism.
+
+That arming E21's whole stack moves no simulated result is checked, stack
+by stack, in ``test_arming_is_inert.py``.
+"""
 
 import json
 
@@ -25,13 +29,6 @@ HORIZON_NS = 20 * MS
 def results():
     return {stack: measure_timeline_stack(stack, n_requests=6)
             for stack in STACKS}
-
-
-@pytest.mark.parametrize("stack", STACKS)
-def test_arming_does_not_move_simulated_results(results, stack):
-    # The tentpole guarantee, extended from E20's spans to the sampler
-    # timer, the flight ring, and the armed invariant checks.
-    assert results[stack].identical
 
 
 @pytest.mark.parametrize("stack", STACKS)
@@ -83,7 +80,7 @@ def test_render_and_artifact(results, tmp_path, capsys):
     ordered = [results[stack] for stack in STACKS]
     render_timeline(ordered)
     out = capsys.readouterr().out
-    assert "determinism contract" in out
+    assert "timelines and post-mortems" in out
     assert "Tail forensics" in out
     for stack in STACKS:
         assert stack in out
@@ -102,9 +99,6 @@ def test_validate_rejects_broken_payloads(results):
     # counts as a failure
     assert all(check(claim, [])[0] == 0 for claim in CLAIMS
                if claim.experiment == "e21")
-    broken = json.loads(json.dumps(value))
-    broken[0]["identical"] = False
-    assert failures({"e21": broken}) == ["e21.armed_run_is_bit_identical"]
     broken = json.loads(json.dumps(value))
     broken[1]["flight_dump"] = None
     assert failures({"e21": broken}) == ["e21.violation_freezes_flight_dump"]

@@ -7,6 +7,8 @@ hashes, so the whole routing plane must be (a) a pure function of
 fleet invariants demand strictly ordered intra-flow delivery.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.check import install_fleet_checks
@@ -114,6 +116,42 @@ def test_no_intra_flow_reordering_across_ecmp_trunks():
     spread = fleet.balancer.spread()
     assert spread["flows"] == 12
     assert sum(1 for c in spread["flows_per_replica"] if c > 0) >= 2
+
+
+def test_replica_ledger_replays_each_flow_once(monkeypatch):
+    """With the fleet checks armed, each flow is hashed twice in the
+    whole run: by the balancer's first pick and by the replica-ledger
+    check's one replay, however many samples see it."""
+    import repro.fleet.routing as routing
+
+    real_hash, calls = routing.rss_hash, []
+
+    def counting_hash(*args):
+        calls.append(args)
+        return real_hash(*args)
+
+    monkeypatch.setattr(routing, "rss_hash", counting_hash)
+    fleet, checks = _run_checked_fleet()
+    assert checks.samples > 1
+    assert len(fleet.balancer.affinity) == 12
+    assert sorted(Counter(calls).values()) == [2] * 12
+
+
+def test_replica_ledger_reports_a_corrupted_affinity_entry():
+    """An affinity entry corrupted before the check first replays its
+    flow is a replica-ledger violation."""
+    fleet = build_fleet([HostSpec(), HostSpec()])
+    fleet.deploy()
+    checks = install_fleet_checks(fleet)
+    balancer = fleet.balancer
+    balancer.pick(*FLOWS[0])
+    checks.check_now()
+    balancer.pick(*FLOWS[1])
+    balancer.affinity[FLOWS[1]] = 1 - balancer.affinity[FLOWS[1]]
+    checks.check_now()
+    ledger = [v for v in checks.violations if v.name == "replica-ledger"]
+    assert len(ledger) == 1
+    assert "the hash replays to" in ledger[0].detail
 
 
 def test_flow_order_invariant_has_teeth():

@@ -31,7 +31,6 @@ def _payload():
         "stack": "linux",
         "n_requests": 4,
         "completed": 4,
-        "identical": True,
         "p50_rtt_ns": 12_000.0,
         "p999_rtt_ns": 2_000_000.0,
         "layers": {"hw": 3, "os": 2, "nic": 1},
@@ -89,7 +88,6 @@ def test_build_dashboard_is_self_contained(dashboard):
     assert "Tail forensics" in html
     assert "Flight-recorder post-mortem" in html
     assert "e21-injected" in html
-    assert "bit-identical" in html
 
 
 def test_dashboard_escapes_untrusted_strings(dashboard):

@@ -186,9 +186,6 @@ def _flight_table(entry: dict) -> str:
 
 def _stack_section(stack: str, entry: dict) -> str:
     ts = entry["timeseries"]
-    identical = ("<span class='ok'>bit-identical</span>"
-                 if entry["identical"]
-                 else "<span class='bad'>DIVERGED</span>")
     layers = entry["layers"]
     sparks = []
     for name in _pick_metrics(entry):
@@ -203,7 +200,7 @@ def _stack_section(stack: str, entry: dict) -> str:
         f"<h2>{html.escape(stack)}</h2>"
         f"<p class='summary'>{entry['completed']}/{entry['n_requests']} "
         f"requests — p50 {_fmt_ns(entry['p50_rtt_ns'])}, "
-        f"p99.9 {_fmt_ns(entry['p999_rtt_ns'])} — armed run {identical} "
+        f"p99.9 {_fmt_ns(entry['p999_rtt_ns'])} "
         f"— {ts['samples']} windows of {ts['window_ns']:g} ns "
         f"({ts['dropped_windows']} evicted) — metrics: "
         f"hw {layers.get('hw', 0)}, os {layers.get('os', 0)}, "
@@ -282,9 +279,6 @@ def _slo_cell_row(cell: dict) -> str:
     lead = victim.get("alert_lead_ns")
     verdict = ("<span class='bad'>violated</span>" if victim.get("violated")
                else "<span class='ok'>in budget</span>")
-    identical = {True: "<span class='ok'>yes</span>",
-                 False: "<span class='bad'>NO</span>",
-                 None: "n/a"}[cell.get("identical")]
     return (
         f"<tr><td class='mono'>{html.escape(cell['label'])}</td>"
         f"<td>{victim.get('bad', 0)}/{victim.get('total', 0)}</td>"
@@ -292,7 +286,7 @@ def _slo_cell_row(cell: dict) -> str:
         f"<td>{_fmt_ns(alert) if alert is not None else '—'}</td>"
         f"<td>{_fmt_ns(exhausted) if exhausted is not None else '—'}</td>"
         f"<td>{_fmt_ns(lead) if lead is not None else '—'}</td>"
-        f"<td>{verdict}</td><td>{identical}</td></tr>")
+        f"<td>{verdict}</td></tr>")
 
 
 def _slo_section(payload: dict) -> str:
@@ -323,7 +317,7 @@ def _slo_section(payload: dict) -> str:
         "grouped by (host, tenant).</p>"
         "<table><tr><th>cell</th><th>bad/total</th><th>budget burned</th>"
         "<th>first alert</th><th>exhausted</th><th>lead</th>"
-        f"<th>verdict</th><th>identical</th></tr>{rows}</table>"
+        f"<th>verdict</th></tr>{rows}</table>"
         f"{''.join(flames)}")
 
 

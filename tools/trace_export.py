@@ -60,9 +60,6 @@ def main(argv: list[str] | None = None) -> int:
             for violation in result.violations:
                 print(f"  - {violation}")
             return 1
-        if not result.identical:
-            print(f"{result.stack}: armed run changed simulated RTTs")
-            return 1
     print(f"wrote {args.out}: {len(payload['traceEvents'])} trace events "
           f"({', '.join(stacks)})")
 
